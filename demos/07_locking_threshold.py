@@ -5,8 +5,8 @@ frequency locks subharmonically: every first-order averaged term beats at a
 fast frequency, so the slow combination 2*theta_slow - theta_drive is first
 forced at second order.  Locking capacity then grows like eps^2, and the
 critical coupling like sqrt(detuning).  This demo bisects the threshold at
-one detuning (about half a minute); the full four-detuning scaling fit is
-wired into the command line as `phasekit sweep` / `phasekit fit-scaling`.
+one detuning (some seconds); the full four-detuning scaling fit is wired
+into the command line as `phasekit sweep` / `phasekit fit-scaling`.
 """
 
 import numpy as np

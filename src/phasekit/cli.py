@@ -1,7 +1,7 @@
 """Command line front end: each pipeline stage as a subcommand.
 
     phasekit <command> --config run.json [--out DIR] [--seed N]
-                       [--threads N] [--format csv|json]
+                       [--format csv|json]
 
 Commands: find-cycle, isochrons, prc, reduce, simulate, sweep, fit-scaling.
 Configs are JSON objects (schemas below, unknown keys rejected); every run
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,6 +94,10 @@ def _default_guess(model):
 
 def _cycle_for(model, node, context=""):
     grid_size = get_typed(node, "grid_size", (int,), default=256, context=context)
+    if grid_size <= 0 or grid_size % 2:
+        label = (context + "." if context else "") + "grid_size"
+        raise ConfigError(f"config key {label} must be a positive even integer",
+                          field=label)
     guess = _num_list(node, "guess", default=None, context=context)
     if guess is None:
         guess = _default_guess(model)
@@ -390,24 +393,12 @@ def _threshold_rows(d_omega, result):
     return rows
 
 
-def _map_ordered(worker, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(worker, items))
-
-
 _SWEEP_COLUMNS = ["d_omega", "epsilon", "S", "locked", "psi_star"]
 
 
-def _run_sweep(d_list, tc, args):
+def _run_sweep(d_list, tc):
     """Thresholds for each detuning; returns (results dict, csv rows)."""
-    if tc["pair"] == "subharmonic":
-        # prime the shared cycle caches so worker threads reuse them
-        subharmonic_pair(d_list[0], 1e-3, mu=tc["mu"], c2=tc["c2"],
-                         kappa=tc["kappa"]).cycles()
-    results = _map_ordered(lambda d: _run_threshold(d, tc), d_list,
-                           args.threads)
+    results = [_run_threshold(d, tc) for d in d_list]
     rows = []
     for d, res in zip(d_list, results):
         rows.extend(_threshold_rows(d, res))
@@ -426,7 +417,7 @@ def cmd_sweep(config, args):
     if any(d <= 0 for d in d_list):
         raise ConfigError("d_omega values must be positive", field="d_omega")
     tc = _threshold_config(config)
-    results, rows = _run_sweep(d_list, tc, args)
+    results, rows = _run_sweep(d_list, tc)
     write_table(args.out, "results", _SWEEP_COLUMNS, rows, args.fmt)
     summary = {
         "eps_c": {repr(d): results[d].eps_c for d in d_list},
@@ -458,7 +449,7 @@ def cmd_fit_scaling(config, args):
                           field="d_omega_list")
     tc = _threshold_config(config)
     tc["bracket"] = None
-    results, rows = _run_sweep(d_list, tc, args)
+    results, rows = _run_sweep(d_list, tc)
     eps_c = [results[d].eps_c for d in d_list]
     fit = scaling_fit(d_list, eps_c)
     write_table(args.out, "results", _SWEEP_COLUMNS, rows, args.fmt)
@@ -507,8 +498,6 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0,
                         help="seed, used only for randomized initial "
                              "conditions")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweep points")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="tabular output format")
     return parser
@@ -520,8 +509,7 @@ def main(argv=None):
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         HANDLERS[args.command](config, args)
-        write_manifest(args.out, args.command, config, args.seed, args.fmt,
-                       args.threads)
+        write_manifest(args.out, args.command, config, args.seed, args.fmt)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": str(exc)}, sort_keys=True))

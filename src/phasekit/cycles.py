@@ -207,8 +207,13 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
     is the section crossing with the largest first coordinate (ties broken by
     the second coordinate).  Raises ShootingError when Newton stalls or the
     return map has a unit multiplier, UnstableCycleError when the orbit's
-    nontrivial Floquet exponent is nonnegative.
+    nontrivial Floquet exponent is nonnegative, and ValueError when
+    grid_size is not a positive even integer.
     """
+    if not (isinstance(grid_size, (int, np.integer)) and grid_size > 0
+            and grid_size % 2 == 0):
+        raise ValueError(
+            f"grid_size must be a positive even integer, got {grid_size!r}")
     if section is None:
         section = Section(s=lambda x: x[1], direction=+1)
     guess = np.asarray(guess, dtype=float)

@@ -11,12 +11,20 @@ spec factory and bisects the locking threshold in the coupling strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
 from .models import TWO_PI, wrap_phase
-from .network import NetworkSpec, PhaseModel, network_phases, simulate_full
+from .network import (
+    NetworkSpec,
+    NetworkTrajectory,
+    PhaseModel,
+    network_phases,
+    simulate_ensemble,
+    simulate_full,
+)
 
 __all__ = [
     "SyncReport",
@@ -91,6 +99,24 @@ def sync_measure(times, phase_diff, transient_frac: float = 0.5,
                       threshold=float(threshold), drift=drift)
 
 
+def _strobe_times(spec: NetworkSpec, t_sim: Optional[float],
+                  strobe_period: Optional[float]):
+    """(t_eval, omega_ref): the stroboscopic sample times of one run."""
+    omega_ref = float(min(c.omega0 for c in spec.cycles()))
+    if strobe_period is None:
+        strobe_period = TWO_PI / omega_ref
+    if t_sim is None:
+        eps = abs(spec.epsilon)
+        t_sim = max(10.0 / eps if eps > 0.0 else 500.0, 500.0)
+    n = max(int(np.floor(t_sim / strobe_period)), 8)
+    return strobe_period * np.arange(n + 1), omega_ref
+
+
+def _slow_phase(spec: NetworkSpec, traj: NetworkTrajectory, pair, weights):
+    phases = network_phases(spec, traj)
+    return weights[0] * phases[:, pair[0]] + weights[1] * phases[:, pair[1]]
+
+
 def lock_psi_series(spec: NetworkSpec, t_sim: Optional[float] = None,
                     theta0=None, pair=(0, 1), weights=(-1.0, 1.0),
                     strobe_period: Optional[float] = None,
@@ -107,21 +133,10 @@ def lock_psi_series(spec: NetworkSpec, t_sim: Optional[float] = None,
     difference; integer weights like (-2, 1) track a p:q resonance
     combination instead.
     """
-    cycles = spec.cycles()
-    omegas = [c.omega0 for c in cycles]
-    omega_ref = float(min(omegas))
-    if strobe_period is None:
-        strobe_period = TWO_PI / omega_ref
-    if t_sim is None:
-        eps = abs(spec.epsilon)
-        t_sim = max(10.0 / eps if eps > 0.0 else 500.0, 500.0)
-    n = max(int(np.floor(t_sim / strobe_period)), 8)
-    t_eval = strobe_period * np.arange(n + 1)
+    t_eval, omega_ref = _strobe_times(spec, t_sim, strobe_period)
     traj = simulate_full(spec, (0.0, float(t_eval[-1])), theta0=theta0,
                          t_eval=t_eval, tol=tol)
-    phases = network_phases(spec, traj)
-    psi = weights[0] * phases[:, pair[0]] + weights[1] * phases[:, pair[1]]
-    return t_eval, psi, omega_ref
+    return t_eval, _slow_phase(spec, traj, pair, weights), omega_ref
 
 
 class CouplingRangeError(RuntimeError):
@@ -140,6 +155,28 @@ class CriticalCouplingResult:
     reports: dict              # epsilon -> SyncReport
 
 
+# Most members one stacked integration carries.  A bisection tree larger than
+# this is integrated in rounds, so memory stays bounded for any rel_width.
+STACK_CAP = 32
+
+
+def _bisection_tree(lo: float, hi: float, rel_width: float, depth: int):
+    """Midpoints a bisection of (lo, hi) may classify, breadth first.
+
+    The stopping rule depends on the bracket alone, so every midpoint the
+    bisection could reach within `depth` steps is known before any verdict.
+    """
+    level = [(lo, hi)]
+    for _ in range(depth):
+        below = []
+        for a, b in level:
+            mid = 0.5 * (a + b)
+            if (b - a) / mid > rel_width:
+                yield mid
+                below += [(a, mid), (mid, b)]
+        level = below
+
+
 def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
                       eps_lo: float, eps_hi: float,
                       rel_width: float = 0.05,
@@ -153,26 +190,51 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
                       max_iter: int = 60) -> CriticalCouplingResult:
     """Bisect the smallest coupling strength that phase-locks a network.
 
-    spec_factory(eps) builds the network at coupling strength eps.  The
-    endpoints must straddle the transition: a locked lower endpoint raises
-    CouplingRangeError(side="below"), an unlocked upper endpoint
-    side="above".  Bisection stops when the bracket is narrower than
-    rel_width relative to its midpoint.
+    spec_factory(eps) builds the network at coupling strength eps; it may
+    vary nothing but epsilon.  The endpoints must straddle the transition: a
+    locked lower endpoint raises CouplingRangeError(side="below"), an
+    unlocked upper endpoint side="above".  Bisection stops when the bracket
+    is narrower than rel_width relative to its midpoint.
+
+    The runs are integrated speculatively.  Because the stopping rule
+    depends only on the bracket, the endpoints and every midpoint the
+    bisection could reach are enumerated first and integrated as one
+    `simulate_ensemble` stack (with its sqrt(K) tolerance rule, so each
+    member is at least as accurate as a solo run).  The bisection then walks
+    the finished trajectories as a sequential one would, measuring the slow
+    phase only of the members it visits; reports and n_runs cover exactly
+    those.  A stack holds at most STACK_CAP = 32 members, taken breadth
+    first; a bisection that walks past them integrates the next round,
+    rooted at the bracket it has reached.
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
     reports = {}
+    runs = {}          # eps -> (spec, t_eval, omega_ref, trajectory)
+
+    def integrate(members):
+        specs = [spec_factory(eps) for eps in members]
+        grids = [_strobe_times(spec, t_sim, strobe_period) for spec in specs]
+        # members share a strobe, so each grid is a prefix of the longest
+        t_eval = max((g[0] for g in grids), key=len)
+        trajs = simulate_ensemble(specs, (0.0, float(t_eval[-1])),
+                                  theta0=theta0, t_eval=t_eval, tol=tol)
+        for eps, spec, (times, omega_ref), traj in zip(members, specs, grids,
+                                                       trajs):
+            m = len(times)
+            runs[eps] = (spec, times, omega_ref, NetworkTrajectory(
+                times=traj.times[:m], states=traj.states[:m]))
 
     def classify(eps: float) -> SyncReport:
-        spec = spec_factory(eps)
-        times, psi, omega_ref = lock_psi_series(
-            spec, t_sim=t_sim, theta0=theta0, weights=weights,
-            strobe_period=strobe_period, tol=tol)
+        spec, times, omega_ref, traj = runs.pop(eps)
+        psi = _slow_phase(spec, traj, (0, 1), weights)
         rep = sync_measure(times, psi, transient_frac=transient_frac,
                            natural_freq=omega_ref, threshold=threshold)
         reports[eps] = rep
         return rep
 
+    integrate([eps_lo, eps_hi] + list(islice(
+        _bisection_tree(eps_lo, eps_hi, rel_width, max_iter), STACK_CAP - 2)))
     if classify(eps_lo).locked:
         raise CouplingRangeError(
             f"already locked at the lower end eps = {eps_lo:g}; "
@@ -183,10 +245,14 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
             "the transition lies above the scanned range", side="above")
 
     lo, hi = eps_lo, eps_hi
-    for _ in range(max_iter):
+    for step in range(max_iter):
         mid = 0.5 * (lo + hi)
         if (hi - lo) / mid <= rel_width:
             break
+        if mid not in runs:
+            integrate(list(islice(
+                _bisection_tree(lo, hi, rel_width, max_iter - step),
+                STACK_CAP)))
         if classify(mid).locked:
             hi = mid
         else:

@@ -333,7 +333,8 @@ class Perturbation:
     """Additive forcing term p(x, t) with amplitude bookkeeping.
 
     ``period`` declares the forcing period when the term is time-periodic
-    (None for aperiodic forcing); it is spot-checked at construction.
+    (None for aperiodic forcing); it is spot-checked at construction on
+    states of dimension ``dim``, the state dimension of the forced model.
     ``amplitude`` is the eps multiplying p in the forced equation
     dx/dt = f(x) + eps * p(x, t).
     """
@@ -341,6 +342,7 @@ class Perturbation:
     p: Callable[[np.ndarray, float], np.ndarray]
     period: Optional[float] = None
     amplitude: float = 0.0
+    dim: int = 2
 
     def __post_init__(self):
         if self.period is not None:
@@ -348,7 +350,7 @@ class Perturbation:
                 raise ValueError("perturbation period must be positive")
             rng = np.random.default_rng(1234)
             for _ in range(4):
-                x = rng.normal(size=2) * 1.5
+                x = rng.normal(size=self.dim) * 1.5
                 t = float(rng.uniform(0.0, 7.0))
                 a = np.asarray(self.p(x, t), dtype=float)
                 b = np.asarray(self.p(x, t + self.period), dtype=float)
@@ -367,4 +369,5 @@ def sinusoidal_forcing(omega: float = 1.0, amplitude: float = 0.0,
         out[component] = math.sin(omega * t)
         return out
 
-    return Perturbation(p=p, period=TWO_PI / omega, amplitude=amplitude)
+    return Perturbation(p=p, period=TWO_PI / omega, amplitude=amplitude,
+                        dim=dim)

@@ -149,13 +149,12 @@ def write_table(out_dir, stem, columns, rows, fmt="csv"):
     return path
 
 
-def write_manifest(out_dir, command, config, seed, fmt, threads):
+def write_manifest(out_dir, command, config, seed, fmt):
     """Record everything needed to re-run the command, config verbatim."""
     manifest = {
         "command": command,
         "config": config,
         "format": fmt,
         "seed": seed,
-        "threads": threads,
     }
     write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)

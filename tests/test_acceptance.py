@@ -6,7 +6,6 @@ checks share one session fixture so the slow simulations run once.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,9 +47,6 @@ SWEEP_DETUNINGS = (0.01, 0.02, 0.04, 0.08)
 @pytest.fixture(scope="session")
 def threshold_sweep():
     """Critical coupling of the 2:1 pair at each detuning (run once)."""
-    # the relaxation cycle is shared by every run; build it before fanning out
-    subharmonic_pair(SWEEP_DETUNINGS[0], 1e-3).cycles()
-
     def threshold(d):
         lo, hi = subharmonic_bracket(d)
         factory = lambda e: subharmonic_pair(d, e)
@@ -60,9 +56,7 @@ def threshold_sweep():
                                  t_sim=t_sim, weights=SUBHARMONIC_WEIGHTS,
                                  strobe_period=strobe, tol=(1e-6, 1e-8))
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(threshold, SWEEP_DETUNINGS))
-    return dict(zip(SWEEP_DETUNINGS, results))
+    return {d: threshold(d) for d in SWEEP_DETUNINGS}
 
 
 def test_prc_matches_closed_form_gradients(radial_cycle, spiral_cycle,

@@ -57,6 +57,7 @@ def test_find_cycle_outputs_period_and_samples(tmp_path, capsys):
     assert manifest["command"] == "find-cycle"
     assert manifest["config"] == {"model": {"name": "radial"}}
     assert manifest["format"] == "csv"
+    assert sorted(manifest) == ["command", "config", "format", "seed"]
 
 
 def test_reduce_recovers_half_cosine_coupling(tmp_path, capsys):
@@ -143,6 +144,20 @@ def test_wrong_value_type_is_a_config_error(tmp_path, capsys):
     err = json.loads(out)
     assert err["error"] == "config"
     assert "grid_size" in err["field"]
+
+
+@pytest.mark.parametrize("grid_size", [0, 3, -2])
+def test_grid_size_must_be_positive_and_even(tmp_path, capsys, grid_size):
+    cfg = write_config(tmp_path, {"model": {"name": "radial"},
+                                  "grid_size": grid_size})
+    rc, out = run_cli(["find-cycle", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert err["field"] == "grid_size"
 
 
 def test_computation_failure_reports_exception_type(tmp_path, capsys):

@@ -137,3 +137,10 @@ def test_unstable_cycle_rejected():
     m = pk.make_model("custom", f=f, dim=2, basin_radius=1e-3)
     with pytest.raises(UnstableCycleError):
         find_limit_cycle(m, (1.01, 0.0))
+
+
+@pytest.mark.parametrize("grid_size", [0, 3, -2])
+def test_grid_size_must_be_positive_and_even(grid_size):
+    with pytest.raises(ValueError, match="positive even"):
+        pk.find_limit_cycle(pk.make_model("radial"), (1.5, 0.1),
+                            grid_size=grid_size)

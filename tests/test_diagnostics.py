@@ -1,5 +1,7 @@
 """Synchrony measures, threshold bisection, and scaling fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import phasekit.diagnostics as diag
 from phasekit import (
     CouplingRangeError,
     NetworkSpec,
+    NetworkTrajectory,
     SUBHARMONIC_WEIGHTS,
     build_phase_model,
     critical_coupling,
@@ -143,27 +146,88 @@ def test_bisection_finds_the_first_order_threshold():
     assert res.reports[0.04].locked
 
 
-def test_bisection_threshold_grows_with_detuning():
-    # analytic stand-in for the simulation layer: locked iff eps >= d/2
-    def fake_series(spec, t_sim=None, theta0=None, pair=(0, 1),
-                    weights=(-1.0, 1.0), strobe_period=None, tol=None):
-        d = spec.models[1].params["omega"] - spec.models[0].params["omega"]
-        t = np.arange(64.0)
-        psi = np.zeros_like(t) if spec.epsilon >= 0.5 * d else d * t
-        return t, psi, 1.0
+def analytic_ensemble(sizes):
+    """Stand-in for the stacked simulation: locked iff eps >= d/2.
 
-    original = diag.lock_psi_series
-    diag.lock_psi_series = fake_series
-    try:
-        eps_c = {}
-        for d in (0.01, 0.02, 0.04):
-            res = critical_coupling(lambda e: detuned_sl_pair(d, e),
-                                    0.1 * d, 2.0 * d, rel_width=0.02)
-            eps_c[d] = res.eps_c
-            assert abs(res.eps_c - 0.5 * d) / (0.5 * d) < 0.05
-        assert eps_c[0.01] < eps_c[0.02] < eps_c[0.04]
-    finally:
-        diag.lock_psi_series = original
+    Nodes sit on their unit-circle cycles; a drifting member's second node
+    runs ahead at the detuning d.  Records each stack's member count.
+    """
+    def fake(specs, t_span, theta0=None, t_eval=None, tol=None, x0=None):
+        sizes.append(len(specs))
+        out = []
+        for spec in specs:
+            d = spec.models[1].params["omega"] - spec.models[0].params["omega"]
+            psi = np.zeros_like(t_eval) if spec.epsilon >= 0.5 * d \
+                else d * t_eval
+            states = np.zeros((len(t_eval), 2, 2))
+            states[:, 0, 0] = 1.0
+            states[:, 1, 0] = np.cos(psi)
+            states[:, 1, 1] = np.sin(psi)
+            out.append(NetworkTrajectory(times=t_eval.copy(), states=states))
+        return out
+
+    return fake
+
+
+def test_bisection_threshold_grows_with_detuning(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(diag, "simulate_ensemble", analytic_ensemble(sizes))
+    eps_c = {}
+    for d in (0.01, 0.02, 0.04):
+        res = critical_coupling(lambda e: detuned_sl_pair(d, e),
+                                0.1 * d, 2.0 * d, rel_width=0.02)
+        eps_c[d] = res.eps_c
+        assert abs(res.eps_c - 0.5 * d) / (0.5 * d) < 0.05
+    assert eps_c[0.01] < eps_c[0.02] < eps_c[0.04]
+    assert sizes and max(sizes) <= 32
+
+
+def test_stacks_stay_within_the_member_cap(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(diag, "simulate_ensemble", analytic_ensemble(sizes))
+    d = 0.02
+    res = critical_coupling(lambda e: detuned_sl_pair(d, e), 0.1 * d, 2.0 * d,
+                            rel_width=1e-8)
+    assert diag.STACK_CAP == 32
+    assert max(sizes) <= 32
+    assert len(sizes) > 1          # the tree is deeper than one stack
+    lo, hi = res.bracket
+    assert lo <= 0.5 * d <= hi
+    assert (hi - lo) / res.eps_c <= 1e-8
+    # two endpoints plus one run per halving of 1.9 d down to 1e-8 relative
+    assert res.n_runs == len(res.reports) == 2 + math.ceil(
+        math.log2(1.9 * d / (1e-8 * 0.5 * d)))
+
+
+def sequential_bisection(factory, lo, hi, rel_width, **kw):
+    """Plain one-run-per-verdict bisection over lock_psi_series."""
+    verdicts = {}
+
+    def locked(eps):
+        times, psi, omega_ref = lock_psi_series(factory(eps), **kw)
+        verdicts[eps] = sync_measure(times, psi, natural_freq=omega_ref).locked
+        return verdicts[eps]
+
+    assert not locked(lo) and locked(hi)
+    while (hi - lo) / (0.5 * (lo + hi)) > rel_width:
+        mid = 0.5 * (lo + hi)
+        if locked(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), (lo, hi), verdicts
+
+
+def test_stacked_bisection_matches_sequential_bisection():
+    d_omega = 0.02
+    factory = lambda e: detuned_sl_pair(d_omega, e)
+    res = critical_coupling(factory, 0.004, 0.04, rel_width=0.1, t_sim=300.0)
+    eps_c, bracket, verdicts = sequential_bisection(
+        factory, 0.004, 0.04, 0.1, t_sim=300.0, tol=(1e-7, 1e-9))
+    assert res.eps_c == eps_c
+    assert res.bracket == bracket
+    assert set(res.reports) == set(verdicts)
+    assert {e: r.locked for e, r in res.reports.items()} == verdicts
 
 
 def test_invalid_bracket_is_rejected():

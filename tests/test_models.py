@@ -106,3 +106,15 @@ def test_sinusoidal_forcing_periodicity():
     np.testing.assert_allclose(pert.p(x, 0.5), [0.0, math.sin(1.5)],
                                atol=1e-15)
     assert pert.amplitude == pytest.approx(0.4)
+
+
+def test_periodicity_probe_uses_the_forcing_dimension():
+    # the forcing reads x[2]; probing with planar states would index past it
+    def p(x, t):
+        return np.array([0.0, 0.0, x[2] * math.sin(t)])
+
+    pert = pk.Perturbation(p=p, period=2 * math.pi, amplitude=0.1, dim=3)
+    assert pert.dim == 3
+    with pytest.raises(ValueError, match="not periodic"):
+        pk.Perturbation(p=p, period=1.0, dim=3)
+    assert pk.sinusoidal_forcing(dim=3, component=2).dim == 3

@@ -12,6 +12,7 @@ from phasekit import (
     lock_analysis,
     make_model,
     network_phases,
+    simulate_ensemble,
     simulate_full,
     simulate_phase_model,
     sl_prescribed_pair,
@@ -101,6 +102,64 @@ def test_full_simulation_decouples_at_zero_coupling():
         for k, t in enumerate(t_eval[1:], start=1):
             ref = flow(mdl, x0, t)
             assert np.linalg.norm(traj.states[k, i] - ref) < 1e-7
+
+
+def detuned_pair(eps, d_omega=0.04):
+    ma = make_model("stuart_landau", omega=2.0 - 0.5 * d_omega, c2=1.0)
+    mb = make_model("stuart_landau", omega=2.0 + 0.5 * d_omega, c2=1.0)
+    return NetworkSpec(models=[ma, mb], epsilon=eps,
+                       a=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                       coupling="direct")
+
+
+def test_ensemble_of_one_is_the_solo_run():
+    spec = detuned_pair(0.05)
+    t_eval = np.linspace(0.0, 40.0, 50)
+    solo = simulate_full(spec, (0.0, 40.0), theta0=[0.2, 1.9], t_eval=t_eval,
+                         tol=(1e-7, 1e-9))
+    [member] = simulate_ensemble([spec], (0.0, 40.0), theta0=[0.2, 1.9],
+                                 t_eval=t_eval, tol=(1e-7, 1e-9))
+    assert np.array_equal(member.times, solo.times)
+    assert np.array_equal(member.states, solo.states)
+
+
+def test_ensemble_members_match_their_solo_runs():
+    tol = (1e-7, 1e-9)
+    specs = [detuned_pair(eps) for eps in (0.0, 0.01, 0.03, 0.06, 0.12)]
+    t_eval = np.linspace(0.0, 30.0, 40)
+    theta0 = [0.4, 2.5]
+    stacked = simulate_ensemble(specs, (0.0, 30.0), theta0=theta0,
+                                t_eval=t_eval, tol=tol)
+    assert len(stacked) == len(specs)
+    for spec, member in zip(specs, stacked):
+        solo = simulate_full(spec, (0.0, 30.0), theta0=theta0, t_eval=t_eval,
+                             tol=tol)
+        ref = simulate_full(spec, (0.0, 30.0), theta0=theta0, t_eval=t_eval,
+                            tol=(1e-11, 1e-13))
+        assert member.states.shape == solo.states.shape
+        gap = np.max(np.abs(member.states - solo.states))
+        assert gap <= 10.0 * tol[0]
+        # the sqrt(K) tolerance rule keeps each member as accurate as alone
+        err_member = np.max(np.abs(member.states - ref.states))
+        err_solo = np.max(np.abs(solo.states - ref.states))
+        assert err_member <= err_solo
+
+
+def test_ensemble_members_may_differ_only_in_epsilon():
+    base = detuned_pair(0.05)
+    # equal models built separately are the same network
+    simulate_ensemble([base, detuned_pair(0.1)], (0.0, 1.0))
+    other_model = detuned_pair(0.05, d_omega=0.08)
+    other_adjacency = NetworkSpec(models=base.models, epsilon=0.05,
+                                  a=np.array([[0.0, 2.0], [1.0, 0.0]]),
+                                  coupling="direct")
+    other_coupling = NetworkSpec(models=base.models, epsilon=0.05, a=base.a,
+                                 coupling="diffusive")
+    for other in (other_model, other_adjacency, other_coupling):
+        with pytest.raises(ValueError, match="only epsilon"):
+            simulate_ensemble([base, other], (0.0, 1.0))
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_ensemble([], (0.0, 1.0))
 
 
 def test_identical_nodes_stay_synchronized():
