@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .models import make_model, sinusoidal_forcing
-from .cycles import find_limit_cycle
+from .models import TWO_PI, make_model, sinusoidal_forcing
+from .cycles import _default_guess, find_limit_cycle
 from .phase import compute_isochron, phase_sensitivity
 from .reduction import average_periodic
 from .network import (
@@ -45,8 +45,6 @@ from .output import (
 )
 
 __all__ = ["main"]
-
-TWO_PI = 2.0 * math.pi
 
 # Integration tolerance for threshold sweeps; calibrated alongside the
 # default couplings, tightening it does not move eps_c at the reported width.
@@ -84,12 +82,6 @@ def _build_model(node, context="model"):
         return make_model(name, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), field=context) from exc
-
-
-def _default_guess(model):
-    if model.name == "relaxation":
-        return (2.0, 0.0)
-    return (1.5, 0.1)
 
 
 def _cycle_for(model, node, context=""):
@@ -296,6 +288,8 @@ def cmd_simulate(config, args):
     spec = _build_network(config["network"])
     horizon_mult = _num(config, "horizon_mult", default=1.0)
     n_samples = get_typed(config, "n_samples", (int,), default=200)
+    if n_samples < 2:
+        raise ConfigError("n_samples must be at least 2", field="n_samples")
     theta0_cfg = config.get("theta0")
     if theta0_cfg is None:
         theta0 = None

@@ -197,6 +197,13 @@ def _reproject_to_section(section, x, grad, tol=1e-12):
     return x
 
 
+def _default_guess(model: OscillatorModel) -> np.ndarray:
+    """Shooting start for a model given without a guess."""
+    if model.name == "relaxation":
+        return np.array([2.0, 0.0])
+    return np.array([1.5, 0.1]) if model.dim == 2 else np.ones(model.dim)
+
+
 def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] = None,
                      tol: float = 1e-10, grid_size: int = 256,
                      t_max: float = 200.0, max_iter: int = 50,

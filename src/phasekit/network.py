@@ -31,7 +31,7 @@ import numpy as np
 
 from .models import TWO_PI, OscillatorModel, make_model
 from .ode import _run_solver
-from .cycles import LimitCycle, find_limit_cycle
+from .cycles import LimitCycle, _default_guess, find_limit_cycle
 from .phase import asymptotic_phase, phase_sensitivity
 from .reduction import CouplingFunction, mean_value
 
@@ -57,25 +57,56 @@ __all__ = [
 ]
 
 
-def _coupling_direct(xi, xj):
-    return xj
-
-
-def _coupling_diffusive(xi, xj):
-    return xj - xi
-
-
-def _coupling_first_component_squared(xi, xj):
-    out = np.zeros_like(xj)
-    out[..., 0] = xj[..., 0] ** 2
+def _first_component_squared(a, x):
+    out = np.zeros_like(x)
+    out[..., 0] = (x[..., 0] ** 2) @ a.T
     return out
 
 
-COUPLING_NAMES = {
-    "direct": _coupling_direct,
-    "diffusive": _coupling_diffusive,
-    "first_component_squared": _coupling_first_component_squared,
+# Each named coupling, defined once as the operator
+# (A, X) -> sum_j A_ij h(x_i, x_j) on stacked states X of shape (..., N, dim).
+_COUPLING_OPERATORS = {
+    "direct": lambda a, x: a @ x,
+    "diffusive": lambda a, x: a @ x - a.sum(axis=1)[:, None] * x,
+    "first_component_squared": _first_component_squared,
 }
+
+_ONE_EDGE = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _pairwise(op):
+    """The term h(x_i, x_j) of an operator: node 0 of the edge 0 <- 1.
+
+    For finite states this is bit-exact, since 0 * x_i + 1 * x_j == x_j.
+    """
+    def h(xi, xj):
+        return op(_ONE_EDGE, np.stack([xi, xj], axis=-2))[..., 0, :]
+    return h
+
+
+COUPLING_NAMES = {name: _pairwise(op) for name, op in _COUPLING_OPERATORS.items()}
+
+
+def _pair_values(h, xi, xj):
+    """h(x_i, x_j) as floats; h must broadcast over the leading axes."""
+    hv = np.asarray(h(xi, xj), dtype=float)
+    if hv.shape != xi.shape:
+        raise ValueError(f"coupling term has shape {hv.shape}, expected "
+                         f"{xi.shape}; h must broadcast over leading axes")
+    return hv
+
+
+def _operator(h):
+    """The operator (A, X) -> sum_j A_ij h(x_i, x_j) of a pairwise term h.
+
+    h sees x_i and x_j broadcast to (..., N, N, dim).  Pairs of zero weight
+    contribute exactly 0, even where h is not finite (the diagonal, say).
+    """
+    def op(a, x):
+        xi, xj = np.broadcast_arrays(x[..., :, None, :], x[..., None, :, :])
+        hv = np.where(a[:, :, None] != 0.0, _pair_values(h, xi, xj), 0.0)
+        return np.einsum("ij,...ijd->...id", a, hv)
+    return op
 
 
 @dataclass
@@ -83,11 +114,15 @@ class NetworkSpec:
     """Network layout: node models, coupling strength, adjacency, coupling term.
 
     a, b, c are (N, N) arrays; entry (i, j) weights the influence of node j on
-    node i.  b and c modulate at frequencies nu1 and nu2.  coupling is a name
-    from COUPLING_NAMES or a callable h(x_i, x_j) broadcasting over leading
-    axes.  prescribed_sensitivity optionally replaces the adjoint curve per
-    node: a list of callables (phase -> complex, or phase -> (dim,) vector),
-    None entries meaning "use the adjoint".
+    node i.  b and c modulate at frequencies nu1 and nu2; epsilon, the
+    adjacencies and the frequencies must be finite.  coupling is a name from
+    COUPLING_NAMES or a callable pairwise term h(x_i, x_j).  Every coupling
+    acts as an operator (A, X) -> sum_j A_ij h(x_i, x_j) on stacked states X
+    of shape (..., N, dim), so a callable h must broadcast over
+    (..., N, N, dim) and return that shape; pairs of zero weight contribute
+    exactly 0.  prescribed_sensitivity optionally replaces the adjoint curve
+    per node: a list of callables (phase -> complex, or phase -> (dim,)
+    vector), None entries meaning "use the adjoint".
     """
 
     models: Sequence[OscillatorModel]
@@ -113,6 +148,10 @@ class NetworkSpec:
                 if arr.shape != (n, n):
                     raise ValueError(f"adjacency {name} must be ({n}, {n})")
                 setattr(self, name, arr)
+        for name in ("epsilon", "a", "b", "c", "nu1", "nu2"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         for name in ("a", "b", "c"):
             arr = getattr(self, name)
             if arr is not None and np.any(np.abs(np.diag(arr)) > 0.0):
@@ -135,9 +174,16 @@ class NetworkSpec:
         return len(self.models)
 
     def coupling_fn(self) -> Callable:
+        """The pairwise term h(x_i, x_j)."""
         if callable(self.coupling):
             return self.coupling
         return COUPLING_NAMES[self.coupling]
+
+    def coupling_operator(self) -> Callable:
+        """(A, X) -> sum_j A_ij h(x_i, x_j) on stacked states (..., N, dim)."""
+        if callable(self.coupling):
+            return _operator(self.coupling)
+        return _COUPLING_OPERATORS[self.coupling]
 
     def adjacency_at(self, t: float) -> np.ndarray:
         out = self.a.copy()
@@ -156,12 +202,6 @@ class NetworkSpec:
         if self._cycles is None:
             self._cycles = [_cached_cycle(mdl) for mdl in self.models]
         return self._cycles
-
-
-def _default_guess(model: OscillatorModel):
-    if model.name == "relaxation":
-        return np.array([2.0, 0.0])
-    return np.array([1.5, 0.1]) if model.dim == 2 else np.ones(model.dim)
 
 
 # Built-in models are value-identified so repeated sweep factories reuse
@@ -318,10 +358,7 @@ def _edge_average(z_vals, pts_i, pts_j, h):
     out = np.empty(m)
     for k in range(m):
         shifted = np.roll(pts_j, -k, axis=0)
-        hv = np.asarray(h(pts_i, shifted), dtype=float)
-        if hv.shape != pts_i.shape:
-            hv = np.stack([np.asarray(h(pts_i[s], shifted[s]), dtype=float)
-                           for s in range(m)])
+        hv = _pair_values(h, pts_i, shifted)
         out[k] = np.mean(np.sum(z_vals * hv, axis=1))
     return out
 
@@ -331,38 +368,6 @@ class NetworkTrajectory:
     times: np.ndarray
     states: np.ndarray            # (n_samples, N, dim) for full runs
     phases: Optional[np.ndarray] = None   # (n_samples, N) unwrapped
-
-
-def _coupling_sum(spec: NetworkSpec):
-    """(t, X) -> per-node coupling input sum_j A_ij(t) h(x_i, x_j).
-
-    X is a stack of network states, shape (K, N, dim).
-    """
-    h = spec.coupling_fn()
-    named = isinstance(spec.coupling, str)
-    static = spec.has_static_adjacency()
-    a_const = spec.a
-
-    def at(t, x):
-        a_t = a_const if static else spec.adjacency_at(t)
-        if named:
-            if spec.coupling == "direct":
-                return a_t @ x
-            if spec.coupling == "diffusive":
-                return a_t @ x - a_t.sum(axis=1)[:, None] * x
-            if spec.coupling == "first_component_squared":
-                out = np.zeros_like(x)
-                out[..., 0] = (x[..., 0] ** 2) @ a_t.T
-                return out
-        acc = np.zeros_like(x)
-        for i in range(spec.n_nodes):
-            for j in range(spec.n_nodes):
-                if a_t[i, j] != 0.0:
-                    acc[:, i] += a_t[i, j] * np.asarray(h(x[:, i], x[:, j]),
-                                                        dtype=float)
-        return acc
-
-    return at
 
 
 def _same_network(p: NetworkSpec, q: NetworkSpec) -> bool:
@@ -384,10 +389,10 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
 
     The members are stacked into one (K, N, dim) state and handed to the
     solver as a single system: every node model is evaluated once per RHS
-    call across the K axis, and the coupling as a broadcast A(t) @ X scaled
-    by a (K, 1, 1) epsilon.  All members start from the same state (node
-    cycles at phases theta0, or the raw (N, dim) states x0) and are sampled
-    at the same times.  Returns one NetworkTrajectory per spec, in order.
+    call across the K axis, and the coupling operator once on the whole
+    stack, scaled by a (K, 1, 1) epsilon.  All members start from the same
+    state (node cycles at phases theta0, or the raw (N, dim) states x0) and
+    are sampled at the same times.  Returns one NetworkTrajectory per spec, in order.
 
     The solver accepts a step when the RMS of the scaled error over all
     K*N*dim components is at most 1, which dilutes one member's error as K
@@ -416,7 +421,8 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
     else:
         x0 = np.asarray(x0, dtype=float).reshape(n, dim)
     fields = [m.f_batch for m in spec.models]
-    coupling_at = _coupling_sum(spec)
+    coupling = spec.coupling_operator()
+    static = spec.has_static_adjacency()
     eps = np.array([s.epsilon for s in specs], dtype=float)[:, None, None]
 
     def rhs(t, y):
@@ -424,7 +430,8 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
         dx = np.empty_like(x)
         for i, f in enumerate(fields):
             dx[:, i] = f(x[:, i])
-        dx += eps * coupling_at(t, x)
+        a_t = spec.a if static else spec.adjacency_at(t)
+        dx += eps * coupling(a_t, x)
         return dx.reshape(-1)
 
     shrink = np.sqrt(k)

@@ -177,9 +177,10 @@ def flow(system, x0, t, tol=DEFAULT_TOL):
 def flow_batch(model: OscillatorModel, X0, t, tol=DEFAULT_TOL):
     """Flow a stack of initial states (K, dim) for the same time t.
 
-    The stack is integrated as one system with a shared adaptive step; the
-    per-point accuracy is what the shared error control delivers, which is
-    ample for the settle-and-project uses inside the toolkit.
+    A negative t flows backward.  The stack is integrated as one system with
+    a shared adaptive step; the per-point accuracy is what the shared error
+    control delivers, which is ample for the settle-and-project uses inside
+    the toolkit.
     """
     X0 = np.asarray(X0, dtype=float)
     k, dim = X0.shape

@@ -9,6 +9,7 @@ repeated runs byte-identical.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -34,12 +35,22 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite", field="--config")
+    return value
+
+
 def load_config(path):
+    """Parse a JSON config object; NaN, Infinity and overflowing numbers are
+    rejected as config errors."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}", field="--config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", field="--config") from exc
     if not isinstance(cfg, dict):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
-from .ode import IntegrationError, _run_solver
+from .ode import IntegrationError, _run_solver, flow_batch
 from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
 
 __all__ = [
@@ -48,18 +48,6 @@ def _settle_budget(cycle: LimitCycle) -> int:
     return int(max(10, np.ceil(12.0 / lam)))
 
 
-def _flow_periods_batch(model, cycle, states, n_periods=1, tol=_GEOM_TOL):
-    states = np.asarray(states, dtype=float)
-    k, dim = states.shape
-
-    def rhs(t, y):
-        return model.f_batch(y.reshape(k, dim)).reshape(-1)
-
-    res = _run_solver(rhs, states.reshape(-1),
-                      (0.0, n_periods * cycle.period), tol, dense_output=False)
-    return res.y[:, -1].reshape(k, dim)
-
-
 def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x,
                      dist_tol: float = 1e-9, ivp_tol=_GEOM_TOL):
     """Asymptotic phase theta in [0, 2*pi) of one state or a stack of states.
@@ -83,7 +71,7 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x,
         if np.all(done):
             break
         active = ~done
-        pts[active] = _flow_periods_batch(model, cycle, pts[active], 1, ivp_tol)
+        pts[active] = flow_batch(model, pts[active], cycle.period, ivp_tol)
         th_a, d_a = cycle.project(pts[active])
         theta[active] = np.atleast_1d(th_a)
         dist[active] = np.atleast_1d(d_a)
@@ -206,19 +194,6 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
                     phase_residual=residual)
 
 
-def _flow_backward_periods(model, cycle, states, n_periods):
-    states = np.asarray(states, dtype=float)
-    k, dim = states.shape
-
-    def rhs(t, y):
-        return model.f_batch(y.reshape(k, dim)).reshape(-1)
-
-    res = _run_solver(rhs, states.reshape(-1),
-                      (0.0, -n_periods * cycle.period), _GEOM_TOL,
-                      dense_output=False)
-    return res.y[:, -1].reshape(k, dim)
-
-
 def _probe_backward(model, cycle, x0, n_periods, r_cap):
     """Backward-map one seed; return achieved distance-from-origin or None if
     the trajectory escapes past r_cap (overshoot) or the solver breaks down."""
@@ -336,8 +311,8 @@ def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
     seeds = np.minimum(seeds, s_star)
     out = None
     for _ in range(3):
-        out = _flow_backward_periods(model, cycle,
-                                     g0[None, :] + seeds[:, None] * w[None, :], m)
+        out = flow_batch(model, g0[None, :] + seeds[:, None] * w[None, :],
+                         -m * t_per, _GEOM_TOL)
         achieved = np.abs(np.linalg.norm(out, axis=1) - r_cycle)
         rel = np.abs(achieved - d_targets) / d_targets
         if rel.max() < 1e-3:

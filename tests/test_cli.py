@@ -160,6 +160,47 @@ def test_grid_size_must_be_positive_and_even(tmp_path, capsys, grid_size):
     assert err["field"] == "grid_size"
 
 
+SL_NETWORK = ('{"models": [{"name": "stuart_landau", "params": '
+              '{"omega": 1.99, "c2": 1.0}}, {"name": "stuart_landau", '
+              '"params": {"omega": 2.01, "c2": 1.0}}], ')
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", '{"network": ' + SL_NETWORK
+     + '"epsilon": NaN, "a": [[0.0, 1.0], [1.0, 0.0]]}}'),
+    ("simulate", '{"network": ' + SL_NETWORK
+     + '"epsilon": 0.05, "a": [[0.0, NaN], [1.0, 0.0]]}}'),
+    ("sweep", '{"d_omega": Infinity}'),
+    ("sweep", '{"d_omega": -Infinity}'),
+    ("sweep", '{"d_omega": 1e400}'),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    rc, out = run_cli([command, "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_simulate_needs_two_samples(tmp_path, capsys, n_samples):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"network": ' + SL_NETWORK + '"epsilon": 0.05, '
+                   '"a": [[0.0, 1.0], [1.0, 0.0]]}, "n_samples": %d}'
+                   % n_samples)
+    rc, out = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert err["field"] == "n_samples"
+
+
 def test_computation_failure_reports_exception_type(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"name": "radial"},
                                   "guess": [0.0, 0.0]})

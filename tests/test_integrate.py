@@ -5,6 +5,7 @@ import pytest
 
 import phasekit as pk
 from phasekit import NoCrossingError, Section
+from phasekit.ode import flow_batch
 
 
 def radial_radius(r0, t):
@@ -57,6 +58,34 @@ def test_group_property_random():
         a = pk.flow(m, x0, t + s, tol=tol)
         b = pk.flow(m, pk.flow(m, x0, s, tol=tol), t, tol=tol)
         assert np.linalg.norm(a - b) < 100 * 1e-8
+
+
+def spiral_stack():
+    rng = np.random.default_rng(3)
+    ang = rng.uniform(0.0, 2 * math.pi, 12)
+    rad = rng.uniform(0.5, 1.6, 12)
+    return rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+def test_flow_batch_forward_then_backward_is_identity():
+    m = pk.make_model("spiral")
+    x0 = spiral_stack()
+    tol = (1e-11, 1e-13)
+    ahead = flow_batch(m, x0, 2.0, tol=tol)
+    assert np.abs(ahead - x0).max() > 0.1
+    back = flow_batch(m, ahead, -2.0, tol=tol)
+    assert np.abs(back - x0).max() < 1e-8
+
+
+def test_flow_batch_rows_match_single_flows():
+    m = pk.make_model("spiral")
+    tol = (1e-11, 1e-13)
+    x0 = spiral_stack()
+    ahead = flow_batch(m, x0, 2.0, tol=tol)
+    back = flow_batch(m, ahead, -2.0, tol=tol)
+    for k in range(len(x0)):
+        assert np.linalg.norm(ahead[k] - pk.flow(m, x0[k], 2.0, tol=tol)) < 1e-8
+        assert np.linalg.norm(back[k] - pk.flow(m, ahead[k], -2.0, tol=tol)) < 1e-8
 
 
 def test_spiral_period_return():

@@ -70,6 +70,46 @@ def test_named_coupling_terms():
     assert np.allclose(sq, [9.0, 0.0])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", np.nan), ("epsilon", np.inf), ("a", np.nan), ("b", np.inf),
+    ("c", -np.inf), ("nu1", np.nan), ("nu2", np.inf)])
+def test_spec_rejects_non_finite_constants(field, value):
+    m = make_model("stuart_landau", omega=2.0, c2=1.0)
+    kwargs = dict(epsilon=0.1, a=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  b=np.array([[0.0, 0.3], [0.0, 0.0]]), nu1=1.0,
+                  c=np.array([[0.0, 0.0], [0.2, 0.0]]), nu2=2.0)
+    if field in "abc":
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][0, 1] = value
+    else:
+        kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NetworkSpec(models=[m, m], **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_NAMES))
+def test_coupling_operators_match_the_pairwise_sum(name):
+    # each named coupling is defined once, as an operator; it and the generic
+    # contraction of its pairwise term must both equal sum_j A_ij h(x_i, x_j)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4))
+    np.fill_diagonal(a, 0.0)
+    a[1, 2] = 0.0
+    x = rng.normal(size=(3, 4, 2))
+    h = COUPLING_NAMES[name]
+    expect = np.zeros_like(x)
+    for i in range(4):
+        for j in range(4):
+            if a[i, j] != 0.0:
+                expect[:, i] += a[i, j] * h(x[:, i], x[:, j])
+    m = make_model("radial")
+    for coupling in (name, h):
+        spec = NetworkSpec(models=[m] * 4, epsilon=0.1, a=a, coupling=coupling)
+        got = spec.coupling_operator()(a, x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - expect)) < 1e-14
+
+
 def test_adjacency_at_combines_modulations():
     m = make_model("stuart_landau", omega=2.0, c2=1.0)
     a = np.array([[0.0, 0.8], [0.5, 0.0]])
@@ -190,6 +230,75 @@ def test_network_phases_of_uncoupled_pair_advance_linearly():
     omega = np.array([c.omega0 for c in spec.cycles()])
     expect = theta0[None, :] + t_eval[:, None] * omega[None, :]
     assert np.max(np.abs(phases - expect)) < 1e-6
+
+
+def diffusive_where_distinct(xi, xj):
+    """xj - xi, but NaN wherever the two states coincide (the diagonal)."""
+    same = np.all(xi == xj, axis=-1, keepdims=True)
+    return np.where(same, np.nan, xj - xi)
+
+
+@pytest.mark.parametrize("h", [lambda xi, xj: xj - xi,
+                               diffusive_where_distinct])
+def test_callable_coupling_reproduces_named_diffusive(h):
+    models = [make_model("relaxation"),
+              make_model("stuart_landau", omega=2.0, c2=1.0)]
+    a = np.array([[0.0, 1.0], [0.6, 0.0]])
+    named = NetworkSpec(models=models, epsilon=0.1, a=a, coupling="diffusive")
+    custom = NetworkSpec(models=models, epsilon=0.1, a=a, coupling=h)
+    t_eval = np.linspace(0.0, 20.0, 40)
+    ref = simulate_full(named, (0.0, 20.0), theta0=[0.3, 2.0], t_eval=t_eval)
+    got = simulate_full(custom, (0.0, 20.0), theta0=[0.3, 2.0], t_eval=t_eval)
+    # zero-weight pairs contribute exactly 0, NaN on the diagonal included
+    assert np.all(np.isfinite(got.states))
+    assert np.max(np.abs(got.states - ref.states)) < 1e-12
+    pm_ref = build_phase_model(named)
+    pm = build_phase_model(custom)
+    assert pm.edges.keys() == pm_ref.edges.keys()
+    for key, cf in pm.edges.items():
+        assert np.all(np.isfinite(cf.values))
+        assert np.max(np.abs(cf.values - pm_ref.edges[key].values)) < 1e-12
+
+
+def test_first_component_squared_end_to_end(sl_pair):
+    spec = NetworkSpec(models=sl_pair.models, epsilon=0.05, a=sl_pair.a,
+                       coupling="first_component_squared")
+    # The term (cos^2(s + phi), 0) carries harmonics 0 and 2 only, while the
+    # sensitivity (-sin s - cos s, cos s - sin s) carries harmonic 1, so the
+    # averaged coupling vanishes for every lag.
+    pm = build_phase_model(spec)
+    assert set(pm.edges) == {(0, 1), (1, 0)}
+    for cf in pm.edges.values():
+        assert np.max(np.abs(cf.values)) < 1e-12
+
+    def h(xi, xj):
+        return np.stack([xj[..., 0] ** 2, np.zeros_like(xj[..., 0])], axis=-1)
+
+    custom = NetworkSpec(models=sl_pair.models, epsilon=0.05, a=sl_pair.a,
+                         coupling=h)
+    t_eval = np.linspace(0.0, 20.0, 40)
+    ref = simulate_full(custom, (0.0, 20.0), theta0=[0.3, 2.0], t_eval=t_eval)
+    got = simulate_full(spec, (0.0, 20.0), theta0=[0.3, 2.0], t_eval=t_eval)
+    assert np.max(np.abs(got.states - ref.states)) < 1e-12
+    # the coupling pushes only the first component, so the nodes leave the
+    # uncoupled cycles
+    free = simulate_full(NetworkSpec(models=sl_pair.models, epsilon=0.0,
+                                     a=sl_pair.a), (0.0, 20.0),
+                         theta0=[0.3, 2.0], t_eval=t_eval)
+    assert np.max(np.abs(got.states - free.states)) > 1e-3
+
+
+def test_coupling_that_does_not_broadcast_is_a_value_error(sl_pair):
+    def h(xi, xj):
+        # written for one pair of states: a constant push along x
+        return np.array([1.0, 0.0])
+
+    spec = NetworkSpec(models=sl_pair.models, epsilon=0.05, a=sl_pair.a,
+                       coupling=h)
+    with pytest.raises(ValueError, match="broadcast"):
+        simulate_full(spec, (0.0, 1.0))
+    with pytest.raises(ValueError, match="broadcast"):
+        build_phase_model(spec)
 
 
 # ---------------------------------------------------------------------------
