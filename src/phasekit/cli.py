@@ -140,6 +140,8 @@ def cmd_isochrons(config, args):
         raise ConfigError("radial_range must be [lo, hi] with lo < hi",
                           field="radial_range")
     n_points = get_typed(config, "n_points", (int,), default=100)
+    if n_points < 1:
+        raise ConfigError("n_points must be at least 1", field="n_points")
     sens = phase_sensitivity(model, cycle)
     rows = []
     residuals = {}
@@ -287,6 +289,8 @@ def cmd_simulate(config, args):
         raise ConfigError("network must be an object", field="network")
     spec = _build_network(config["network"])
     horizon_mult = _num(config, "horizon_mult", default=1.0)
+    if horizon_mult <= 0.0:
+        raise ConfigError("horizon_mult must be positive", field="horizon_mult")
     n_samples = get_typed(config, "n_samples", (int,), default=200)
     if n_samples < 2:
         raise ConfigError("n_samples must be at least 2", field="n_samples")
@@ -315,7 +319,7 @@ def cmd_simulate(config, args):
     write_json_atomic(os.path.join(args.out, "summary.json"), {
         "n_nodes": n,
         "epsilon": spec.epsilon,
-        "horizon": horizon_mult / spec.epsilon,
+        "horizon": float(report.times[-1]),
         "max_error": report.max_error,
         "rms_error": report.rms_error,
         "full_drift": report.full_drift,

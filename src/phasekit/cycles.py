@@ -27,6 +27,15 @@ __all__ = [
 ]
 
 
+# Rows per block in LimitCycle.project: its nearest-node search holds a
+# (rows, grid_size, dim) array, about 8 MB at the default 256-point grid.  The
+# last bits of the BLAS product depend on where a row falls in its row tiling;
+# a power of two keeps block edges on that tiling, so with single-threaded
+# BLAS the blocked result equals one unblocked pass bit for bit.  (Threaded
+# BLAS moves those bits with its thread partition, blocked or not.)
+_PROJECT_CHUNK = 2048
+
+
 class ShootingError(RuntimeError):
     """Newton shooting failed to converge or hit a singular return map."""
 
@@ -65,21 +74,36 @@ class PeriodicInterpolant:
         return np.exp(1j * np.multiply.outer(theta, self._k))  # (..., K)
 
     def __call__(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return self._value(self._phases(theta), theta)
+
+    def derivative(self, theta, order: int = 1):
+        theta = np.asarray(theta, dtype=float)
+        return self._derivative(self._phases(theta), theta, order)
+
+    def jet(self, theta):
+        """(value, first, second derivative) at theta from one phase table.
+
+        Bit-identical to separate __call__ and derivative calls, at a third
+        of the complex exponentials.
+        """
+        theta = np.asarray(theta, dtype=float)
         e = self._phases(theta)
+        return (self._value(e, theta), self._derivative(e, theta, 1),
+                self._derivative(e, theta, 2))
+
+    def _value(self, e, theta):
         out = np.real(e @ self._weights)
         # Nyquist term must enter as a pure cosine for a real interpolant.
-        theta = np.asarray(theta, dtype=float)
         nyq = self._weights[-1].real
         out += np.multiply.outer(
             np.cos(theta * self._k[-1]) - np.real(e[..., -1]), nyq
         )
         return out[..., 0] if self._scalar else out
 
-    def derivative(self, theta, order: int = 1):
-        e = self._phases(theta)
+    def _derivative(self, e, theta, order):
         w = self._weights * (1j * self._k[:, None]) ** order
         out = np.real(e @ w)
-        theta = np.asarray(theta, dtype=float)
         # d/dtheta of the Nyquist cosine, replacing the complex-exponential row.
         kn = self._k[-1]
         nyq = self._weights[-1].real
@@ -145,24 +169,36 @@ class LimitCycle:
 
         Accepts a single state (dim,) or a stack (K, dim).  theta solves
         (x - gamma(theta)) . gamma'(theta) = 0 near the closest grid node.
+        Stacks are projected in blocks of about _PROJECT_CHUNK rows, so
+        memory stays bounded for any K.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
+        n = len(pts)
+        theta = np.empty(n)
+        dist = np.empty(n)
+        lo = 0
+        while lo < n:
+            # Never leave one row alone: numpy's one-row product path rounds
+            # differently from the same row inside a larger product.
+            hi = n if lo + _PROJECT_CHUNK + 1 >= n else lo + _PROJECT_CHUNK
+            theta[lo:hi], dist[lo:hi] = self._project_chunk(pts[lo:hi])
+            lo = hi
+        if single:
+            return float(theta[0]), float(dist[0])
+        return theta, dist
+
+    def _project_chunk(self, pts):
         d2 = ((pts[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
         theta = self.grid[np.argmin(d2, axis=1)].astype(float)
         for _ in range(4):
-            g = self._interp(theta)
-            dg = self._interp.derivative(theta)
-            d2g = self._interp.derivative(theta, order=2)
+            g, dg, d2g = self._interp.jet(theta)
             res = ((pts - g) * dg).sum(axis=1)
             slope = -(dg * dg).sum(axis=1) + ((pts - g) * d2g).sum(axis=1)
             theta = theta - res / slope
         theta = wrap_phase(theta)
-        dist = np.linalg.norm(pts - self._interp(theta), axis=1)
-        if single:
-            return float(theta[0]), float(dist[0])
-        return theta, dist
+        return theta, np.linalg.norm(pts - self._interp(theta), axis=1)
 
 
 def gamma_at(cycle: LimitCycle, theta):

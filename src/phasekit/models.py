@@ -105,9 +105,11 @@ class OscillatorModel:
         if self.vectorized:
             return np.asarray(self.f(x), dtype=float)
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, self.dim)
-        out = np.stack([np.asarray(self.f(xi), dtype=float) for xi in flat])
-        return out.reshape(x.shape)
+        out = np.empty(x.shape)
+        flat_out = out.reshape(-1, self.dim)
+        for k, xi in enumerate(x.reshape(-1, self.dim)):
+            flat_out[k] = np.asarray(self.f(xi), dtype=float)
+        return out
 
 
 # --- built-in vector fields -------------------------------------------------
@@ -116,7 +118,10 @@ def _radial_f(x):
     x = np.asarray(x, dtype=float)
     u, v = x[..., 0], x[..., 1]
     r2 = u * u + v * v
-    return np.stack([u - v - u * r2, u + v - v * r2], axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = u - v - u * r2
+    out[..., 1] = u + v - v * r2
+    return out
 
 
 def _radial_jac(x):
@@ -144,7 +149,10 @@ def _spiral_f(x):
     x = np.asarray(x, dtype=float)
     u, v = x[..., 0], x[..., 1]
     r2 = u * u + v * v
-    return np.stack([u - (u + v) * r2, v + (u - v) * r2], axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = u - (u + v) * r2
+    out[..., 1] = v + (u - v) * r2
+    return out
 
 
 def _spiral_jac(x):
@@ -176,10 +184,10 @@ def _make_sl_f(omega, c2):
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
         r2 = u * u + v * v
-        return np.stack(
-            [u - omega * v - r2 * (u - c2 * v), omega * u + v - r2 * (c2 * u + v)],
-            axis=-1,
-        )
+        out = np.empty(x.shape)
+        out[..., 0] = u - omega * v - r2 * (u - c2 * v)
+        out[..., 1] = omega * u + v - r2 * (c2 * u + v)
+        return out
 
     return f
 
@@ -232,15 +240,20 @@ def relaxation_model(mu: float = 1.0) -> OscillatorModel:
     def f(x):
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
-        return np.stack([v, mu * (1.0 - u * u) * v - u], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = v
+        out[..., 1] = mu * (1.0 - u * u) * v - u
+        return out
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
-        zeros = np.zeros_like(u)
-        row0 = np.stack([zeros, np.ones_like(u)], axis=-1)
-        row1 = np.stack([-2.0 * mu * u * v - 1.0, mu * (1.0 - u * u)], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        j = np.empty(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = 0.0
+        j[..., 0, 1] = 1.0
+        j[..., 1, 0] = -2.0 * mu * u * v - 1.0
+        j[..., 1, 1] = mu * (1.0 - u * u)
+        return j
 
     return OscillatorModel(name="relaxation", dim=2, f=f, jacobian=jacobian,
                            params={"mu": mu}, vectorized=True)

@@ -10,9 +10,10 @@ and reduces to phases
     dtheta_i/dt = Omega_i + eps * sum_j abar_ij * qbar_ij(theta_j - theta_i),
 
 where qbar_ij is the coupling term averaged around the cycle and abar_ij is
-the long-time mean of A_ij.  Sensitivities are adjoint-computed per node
-unless explicitly prescribed; a prescribed curve is used as given, which is
-exactly how first-order reduction failures are reproduced on purpose.
+the long-time mean of A_ij.  Sensitivities are adjoint-computed once per
+distinct node cycle unless explicitly prescribed; a prescribed curve is used
+as given, which is exactly how first-order reduction failures are reproduced
+on purpose.
 
 For planar oscillators read as complex numbers z = x + i y, the pairing
 between a sensitivity Z and a coupling term h is Re(conj(Z) * h), which is
@@ -227,13 +228,21 @@ def _cached_cycle(model: OscillatorModel) -> LimitCycle:
     return _CYCLE_CACHE[key]
 
 
-def _sensitivity_values(spec: NetworkSpec, i: int, cycle: LimitCycle):
-    """Sensitivity samples on the cycle grid for node i (prescribed wins)."""
+def _sensitivity_values(spec: NetworkSpec, i: int, cycle: LimitCycle,
+                        adjoints: dict):
+    """Sensitivity samples on the cycle grid for node i (prescribed wins).
+
+    adjoints maps id(cycle) to adjoint samples already computed in this
+    build; nodes share a cycle object only when their models are equal, so
+    they share the adjoint too.
+    """
     pres = None
     if spec.prescribed_sensitivity is not None:
         pres = spec.prescribed_sensitivity[i]
     if pres is None:
-        return phase_sensitivity(spec.models[i], cycle).values, False
+        if id(cycle) not in adjoints:
+            adjoints[id(cycle)] = phase_sensitivity(spec.models[i], cycle).values
+        return adjoints[id(cycle)], False
     sample = np.asarray(pres(cycle.grid))
     if np.iscomplexobj(sample):
         values = np.stack([sample.real, sample.imag], axis=-1)
@@ -296,9 +305,11 @@ def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
     h = spec.coupling_fn()
 
     sens_vals = {}
+    adjoints = {}
     prescribed_any = False
     for i in range(n):
-        sens_vals[i], was_prescribed = _sensitivity_values(spec, i, cycles[i])
+        sens_vals[i], was_prescribed = _sensitivity_values(spec, i, cycles[i],
+                                                           adjoints)
         prescribed_any = prescribed_any or was_prescribed
 
     # Reduce the adjacency to constants.
@@ -518,10 +529,13 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
                             tol=(1e-9, 1e-11)) -> ComparisonReport:
     """Run the full network and its phase model side by side.
 
-    The horizon is horizon_mult / epsilon (one averaging time by default); the
-    full run's phases are aligned to the reduced run's initial condition, and
-    errors are circular distances per node and sample.
+    The horizon is horizon_mult / epsilon (one averaging time by default;
+    horizon_mult itself when epsilon is not positive), and horizon_mult must
+    be positive.  The full run's phases are aligned to the reduced run's
+    initial condition, and errors are circular distances per node and sample.
     """
+    if not horizon_mult > 0.0:
+        raise ValueError(f"horizon_mult must be positive, got {horizon_mult!r}")
     n = spec.n_nodes
     theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
     if pm is None:

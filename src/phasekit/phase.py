@@ -135,10 +135,13 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     close to the cycle and are carried outward by whole backward periods
     (which leave the phase untouched), with a secant pass on the seed size so
     the achieved radii land on the requested grid.  The cycle point gamma(theta)
-    is always included and points are ordered by radius.
+    is always included and points are ordered by radius.  n_points must be
+    at least 1.
     """
     if model.dim != 2:
         raise IsochronError("isochron sampling implemented for planar models")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     theta = float(wrap_phase(theta))
     g0 = cycle.gamma_at(theta)
     r_lo, r_hi = float(radial_range[0]), float(radial_range[1])

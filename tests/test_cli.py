@@ -201,6 +201,51 @@ def test_simulate_needs_two_samples(tmp_path, capsys, n_samples):
     assert err["field"] == "n_samples"
 
 
+def _config_error_field(out):
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    return err["field"]
+
+
+@pytest.mark.parametrize("horizon_mult", [0, -1])
+def test_simulate_needs_a_positive_horizon(tmp_path, capsys, horizon_mult):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"network": ' + SL_NETWORK + '"epsilon": 0.05, '
+                   '"a": [[0.0, 1.0], [1.0, 0.0]]}, "horizon_mult": %d}'
+                   % horizon_mult)
+    rc, out = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    assert _config_error_field(out) == "horizon_mult"
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_simulate_summary_reports_the_horizon_run(tmp_path, capsys, epsilon):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"network": ' + SL_NETWORK + '"epsilon": %r, '
+                   '"a": [[0.0, 1.0], [1.0, 0.0]]}, "horizon_mult": 0.1, '
+                   '"n_samples": 5}' % epsilon)
+    rc, out = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 0, out
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+    assert summary["horizon"] == rows[-1][0]
+    assert summary["horizon"] == (0.1 / epsilon if epsilon else 0.1)
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_isochrons_need_at_least_one_point(tmp_path, capsys, n_points):
+    cfg = write_config(tmp_path, {"model": {"name": "radial"},
+                                  "grid_size": 32, "n_points": n_points})
+    rc, out = run_cli(["isochrons", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    assert _config_error_field(out) == "n_points"
+
+
 def test_computation_failure_reports_exception_type(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"name": "radial"},
                                   "guess": [0.0, 0.0]})

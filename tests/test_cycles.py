@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import phasekit as pk
 from phasekit import UnstableCycleError, find_limit_cycle, floquet_exponent
+from phasekit.cycles import _PROJECT_CHUNK
 
 TWO_PI = 2 * math.pi
 
@@ -144,3 +148,81 @@ def test_grid_size_must_be_positive_and_even(grid_size):
     with pytest.raises(ValueError, match="positive even"):
         pk.find_limit_cycle(pk.make_model("radial"), (1.5, 0.1),
                             grid_size=grid_size)
+
+
+@pytest.mark.parametrize("values_shape", [(64,), (64, 3)])
+def test_interpolant_jet_matches_separate_calls_bitwise(values_shape):
+    rng = np.random.default_rng(3)
+    interp = pk.PeriodicInterpolant(rng.normal(size=values_shape))
+    for theta in (0.7, rng.uniform(0.0, TWO_PI, 50),
+                  rng.uniform(-3.0, 9.0, (4, 5))):
+        g, dg, d2g = interp.jet(theta)
+        np.testing.assert_array_equal(g, interp(theta))
+        np.testing.assert_array_equal(dg, interp.derivative(theta))
+        np.testing.assert_array_equal(d2g, interp.derivative(theta, order=2))
+
+
+def _unblocked_project(cycle, pts):
+    """LimitCycle.project as one pass over the whole stack."""
+    d2 = ((pts[:, None, :] - cycle.points[None, :, :]) ** 2).sum(axis=2)
+    theta = cycle.grid[np.argmin(d2, axis=1)].astype(float)
+    interp = cycle._interp
+    for _ in range(4):
+        g = interp(theta)
+        dg = interp.derivative(theta)
+        d2g = interp.derivative(theta, order=2)
+        res = ((pts - g) * dg).sum(axis=1)
+        slope = -(dg * dg).sum(axis=1) + ((pts - g) * d2g).sum(axis=1)
+        theta = theta - res / slope
+    theta = np.mod(theta, TWO_PI)
+    return theta, np.linalg.norm(pts - interp(theta), axis=1)
+
+
+def _project_stack(k, seed=11):
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, TWO_PI, k)
+    rad = rng.uniform(0.3, 2.0, k)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+
+
+_BLOCKED_CHECK = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import phasekit as pk
+from test_cycles import _PROJECT_CHUNK, _project_stack, _unblocked_project
+cyc = pk.find_limit_cycle(pk.make_model("spiral"), (0.5, 0.5))
+for k in (_PROJECT_CHUNK + 1, _PROJECT_CHUNK + 2, 2 * _PROJECT_CHUNK + 3):
+    pts = _project_stack(k)
+    for got, want in zip(cyc.project(pts), _unblocked_project(cyc, pts)):
+        np.testing.assert_array_equal(got, want)
+"""
+
+
+def test_blocked_project_matches_one_pass_bitwise():
+    # Run with one BLAS thread: threaded BLAS moves the last bits of the
+    # product with its thread partition, for one pass and blocks alike.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_CHECK, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_project_rows_match_single_states(spiral_cycle):
+    # A single state runs numpy's one-row product, so it agrees with its row
+    # of a stack to rounding rather than bit for bit.
+    _, cyc = spiral_cycle
+    pts = _project_stack(_PROJECT_CHUNK + 2)
+    theta, dist = cyc.project(pts)
+    for i in (0, _PROJECT_CHUNK - 1, _PROJECT_CHUNK, _PROJECT_CHUNK + 1):
+        th_i, d_i = cyc.project(pts[i])
+        assert abs(th_i - theta[i]) < 1e-12
+        assert abs(d_i - dist[i]) < 1e-12
+
+
+def test_project_of_an_empty_stack(spiral_cycle):
+    _, cyc = spiral_cycle
+    theta, dist = cyc.project(np.empty((0, 2)))
+    assert theta.shape == (0,) and dist.shape == (0,)

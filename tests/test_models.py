@@ -118,3 +118,94 @@ def test_periodicity_probe_uses_the_forcing_dimension():
     with pytest.raises(ValueError, match="not periodic"):
         pk.Perturbation(p=p, period=1.0, dim=3)
     assert pk.sinusoidal_forcing(dim=3, component=2).dim == 3
+
+
+# The built-in fields used to assemble their output with np.stack; these are
+# those formulations, kept to pin the in-place fields to the same bits.
+def _stacked_fields(mu, omega, c2):
+    def radial(x):
+        u, v = x[..., 0], x[..., 1]
+        r2 = u * u + v * v
+        return np.stack([u - v - u * r2, u + v - v * r2], axis=-1)
+
+    def spiral(x):
+        u, v = x[..., 0], x[..., 1]
+        r2 = u * u + v * v
+        return np.stack([u - (u + v) * r2, v + (u - v) * r2], axis=-1)
+
+    def stuart_landau(x):
+        u, v = x[..., 0], x[..., 1]
+        r2 = u * u + v * v
+        return np.stack([u - omega * v - r2 * (u - c2 * v),
+                         omega * u + v - r2 * (c2 * u + v)], axis=-1)
+
+    def relaxation(x):
+        u, v = x[..., 0], x[..., 1]
+        return np.stack([v, mu * (1.0 - u * u) * v - u], axis=-1)
+
+    def relaxation_jac(x):
+        u, v = x[..., 0], x[..., 1]
+        row0 = np.stack([np.zeros_like(u), np.ones_like(u)], axis=-1)
+        row1 = np.stack([-2.0 * mu * u * v - 1.0, mu * (1.0 - u * u)],
+                        axis=-1)
+        return np.stack([row0, row1], axis=-2)
+
+    return {"radial": radial, "spiral": spiral,
+            "stuart_landau": stuart_landau, "relaxation": relaxation,
+            "relaxation_jac": relaxation_jac}
+
+
+def _field_inputs():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(27, 2)) * 1.5
+    network = rng.normal(size=(9, 3, 2))
+    return {"single": stack[3].copy(), "stack": stack,
+            "list": stack[:4].tolist(), "strided": network[:, 1],
+            "batched": network}
+
+
+@pytest.mark.parametrize("kind", ["single", "stack", "list", "strided",
+                                  "batched"])
+@pytest.mark.parametrize("name", ["radial", "spiral", "stuart_landau",
+                                  "relaxation", "relaxation_jac"])
+def test_builtin_fields_match_stacked_formulation_bitwise(name, kind):
+    mu, omega, c2 = 1.3, 2.05, 0.7
+    models = {"radial": make_model("radial"), "spiral": make_model("spiral"),
+              "stuart_landau": make_model("stuart_landau", omega=omega,
+                                          c2=c2),
+              "relaxation": make_model("relaxation", mu=mu)}
+    if name == "relaxation_jac":
+        fn = models["relaxation"].jacobian
+    else:
+        fn = models[name].f
+    x = _field_inputs()[kind]
+    xa = np.asarray(x, dtype=float)
+    got = fn(x)
+    want = _stacked_fields(mu, omega, c2)[name](xa)
+    np.testing.assert_array_equal(got, want)
+    shape = xa.shape + (2,) if name == "relaxation_jac" else xa.shape
+    assert got.shape == shape
+    assert got.dtype == np.float64
+    assert not np.shares_memory(got, xa)
+
+
+def _scalar_only_radial():
+    def f(x):
+        r2 = x[0] ** 2 + x[1] ** 2
+        return np.array([x[0] - x[1] - x[0] * r2, x[0] + x[1] - x[1] * r2])
+
+    return make_model("custom", f=f, dim=2, basin_radius=1e-3)
+
+
+def test_scalar_only_f_batch_matches_the_vectorized_field():
+    custom = _scalar_only_radial()
+    x = _field_inputs()["batched"]
+    got = custom.f_batch(x)
+    np.testing.assert_array_equal(got, make_model("radial").f(x))
+    assert got.shape == x.shape
+
+
+def test_scalar_only_f_batch_on_an_empty_stack():
+    out = _scalar_only_radial().f_batch(np.empty((0, 2)))
+    assert out.shape == (0, 2)
+    assert out.dtype == np.float64

@@ -12,6 +12,7 @@ from phasekit import (
     lock_analysis,
     make_model,
     network_phases,
+    phase_sensitivity,
     simulate_ensemble,
     simulate_full,
     simulate_phase_model,
@@ -465,3 +466,59 @@ def test_prescribed_pair_defeats_first_order_reduction():
 
     assert abs(gap_slope(report.theta_full)) < 2e-3
     assert abs(gap_slope(report.theta_reduced) - d_omega) < 1e-3
+
+
+def _ring_models():
+    """The benchmark's 8-node ring: one relaxation model on the even nodes,
+    four distinct Stuart-Landau models on the odd ones."""
+    return [make_model("relaxation", mu=1.0) if i % 2 == 0
+            else make_model("stuart_landau", omega=round(1.94 + 0.01 * i, 10),
+                            c2=1.0)
+            for i in range(8)]
+
+
+@pytest.mark.parametrize("prescribe_even, calls", [(False, 5), (True, 4)])
+def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
+        monkeypatch, prescribe_even, calls):
+    import phasekit.network as network
+
+    seen = []
+
+    def counting(model, cycle, *args, **kwargs):
+        seen.append(id(cycle))
+        return phase_sensitivity(model, cycle, *args, **kwargs)
+
+    monkeypatch.setattr(network, "phase_sensitivity", counting)
+    n = 8
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 0.5
+    models = _ring_models()
+    pres = None
+    if prescribe_even:
+        def z(th):
+            return 1j * np.exp(1j * np.asarray(th))
+
+        pres = [z if i % 2 == 0 else None for i in range(n)]
+    spec = NetworkSpec(models=models, epsilon=0.05, a=a, coupling="diffusive",
+                       prescribed_sensitivity=pres)
+    pm = build_phase_model(spec)
+    assert len(seen) == calls == len(set(seen))
+    assert pm.prescribed == prescribe_even
+    if prescribe_even:
+        return
+    # a node sharing node 0's cycle gets the edges of its own adjoint
+    cycles = spec.cycles()
+    assert cycles[4] is cycles[0]
+    own = phase_sensitivity(models[4], cycles[4]).values
+    for j in (3, 5):
+        np.testing.assert_array_equal(
+            pm.edges[(4, j)].values,
+            network._edge_average(own, cycles[4].points, cycles[j].points,
+                                  spec.coupling_fn()))
+
+
+@pytest.mark.parametrize("horizon_mult", [0.0, -1.0])
+def test_comparison_needs_a_positive_horizon(sl_pair, horizon_mult):
+    with pytest.raises(ValueError, match="horizon_mult"):
+        compare_full_vs_reduced(sl_pair, horizon_mult=horizon_mult)

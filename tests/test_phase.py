@@ -154,3 +154,16 @@ def test_contraction_along_isochron(radial_cycle):
     d0 = np.linalg.norm(x - g)
     d1 = np.linalg.norm(y - g)
     assert d1 <= math.exp(cyc.floquet * cyc.period) * d0 * 1.1
+
+
+def test_asymptotic_phase_of_an_empty_stack(spiral_cycle):
+    m, cyc = spiral_cycle
+    theta = pk.asymptotic_phase(m, cyc, np.empty((0, 2)))
+    assert theta.shape == (0,)
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_isochron_needs_at_least_one_point(radial_cycle, n_points):
+    m, cyc = radial_cycle
+    with pytest.raises(ValueError, match="n_points"):
+        pk.compute_isochron(m, cyc, 0.0, (0.3, 2.0), n_points=n_points)
