@@ -28,11 +28,10 @@ __all__ = [
 
 
 # Rows per block in LimitCycle.project: its nearest-node search holds a
-# (rows, grid_size, dim) array, about 8 MB at the default 256-point grid.  The
-# last bits of the BLAS product depend on where a row falls in its row tiling;
-# a power of two keeps block edges on that tiling, so with single-threaded
-# BLAS the blocked result equals one unblocked pass bit for bit.  (Threaded
-# BLAS moves those bits with its thread partition, blocked or not.)
+# (rows, grid_size, dim) array, about 8 MB at the default 256-point grid.
+# With single-threaded BLAS a row's product has the same bits in any block of
+# two or more rows, so blocking leaves the result unchanged; threaded BLAS
+# moves the last bits with its thread count, blocked or not.
 _PROJECT_CHUNK = 2048
 
 
@@ -70,7 +69,6 @@ class PeriodicInterpolant:
         self._k = np.arange(self.m // 2 + 1)    # harmonic numbers
 
     def _phases(self, theta):
-        theta = np.asarray(theta, dtype=float)
         return np.exp(1j * np.multiply.outer(theta, self._k))  # (..., K)
 
     def __call__(self, theta):

@@ -201,7 +201,7 @@ for k in (_PROJECT_CHUNK + 1, _PROJECT_CHUNK + 2, 2 * _PROJECT_CHUNK + 3):
 
 def test_blocked_project_matches_one_pass_bitwise():
     # Run with one BLAS thread: threaded BLAS moves the last bits of the
-    # product with its thread partition, for one pass and blocks alike.
+    # product with its thread count, for one pass and blocks alike.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run(

@@ -468,15 +468,6 @@ def test_prescribed_pair_defeats_first_order_reduction():
     assert abs(gap_slope(report.theta_reduced) - d_omega) < 1e-3
 
 
-def _ring_models():
-    """The benchmark's 8-node ring: one relaxation model on the even nodes,
-    four distinct Stuart-Landau models on the odd ones."""
-    return [make_model("relaxation", mu=1.0) if i % 2 == 0
-            else make_model("stuart_landau", omega=round(1.94 + 0.01 * i, 10),
-                            c2=1.0)
-            for i in range(8)]
-
-
 @pytest.mark.parametrize("prescribe_even, calls", [(False, 5), (True, 4)])
 def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
         monkeypatch, prescribe_even, calls):
@@ -493,7 +484,12 @@ def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
     a = np.zeros((n, n))
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 0.5
-    models = _ring_models()
+    # the network-reduce benchmark's ring: one relaxation model on the even
+    # nodes, four distinct Stuart-Landau models on the odd ones
+    models = [make_model("relaxation", mu=1.0) if i % 2 == 0
+              else make_model("stuart_landau",
+                              omega=round(1.94 + 0.01 * i, 10), c2=1.0)
+              for i in range(n)]
     pres = None
     if prescribe_even:
         def z(th):
