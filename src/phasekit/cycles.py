@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
-from .ode import DEFAULT_TOL, Section, find_crossing, integrate, _run_solver
+from .ode import (DEFAULT_TOL, Section, find_crossing, integrate, _endpoint,
+                  _run_solver)
 
 __all__ = [
     "PeriodicInterpolant",
@@ -390,9 +391,8 @@ def floquet_exponent(model: OscillatorModel, cycle: LimitCycle,
             return np.concatenate([dx, dphi.reshape(-1)])
 
         y0 = np.concatenate([anchor, np.eye(n).reshape(-1)])
-        res = _run_solver(rhs, y0, (0.0, cycle.period), (1e-10, 1e-13),
-                          dense_output=False)
-        mono = res.y[n:, -1].reshape(n, n)
+        y1 = _endpoint(rhs, y0, (0.0, cycle.period), (1e-10, 1e-13))
+        mono = y1[n:].reshape(n, n)
         mu = np.linalg.eigvals(mono)
         trivial = np.argmin(np.abs(mu - 1.0))
         rest = np.delete(mu, trivial)

@@ -448,8 +448,7 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
     shrink = np.sqrt(k)
     res = _run_solver(rhs, np.tile(x0.reshape(-1), k),
                       (float(t_span[0]), float(t_span[1])),
-                      (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval,
-                      dense_output=False)
+                      (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval)
     states = res.y.T.reshape(-1, k, n, dim)
     return [NetworkTrajectory(times=res.t.copy(), states=states[:, j].copy())
             for j in range(k)]

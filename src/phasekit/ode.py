@@ -1,8 +1,17 @@
 """Initial value problem driver: adaptive integration, flows, section crossings.
 
-Thin contract layer over scipy's RK45 with dense output.  Everything downstream
-(shooting, adjoint runs, isochron mapping, network sweeps) goes through the
-helpers here so tolerances and error handling stay in one place.
+Thin contract layer over scipy's RK45.  Everything downstream (shooting,
+adjoint runs, isochron mapping, network sweeps) goes through the helpers here
+so tolerances and error handling stay in one place.  Each entry point keeps
+only what its callers read:
+
+- `integrate` keeps every step and the dense interpolant (`Trajectory`);
+- `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
+  (the basin guard, the section) located on the step's interpolant;
+- `flow_batch` (and the whole-period runs of the Floquet and adjoint stages)
+  keeps only the final state: `_endpoint` steps the same RK45 solver that
+  `solve_ivp` builds, so the endpoint is bit-identical while the memory held
+  stays that of a few states, however many steps the run takes.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .models import OscillatorModel, PhaselessStateError
 
@@ -115,7 +124,7 @@ def _basin_events(model: Optional[OscillatorModel]):
 
 
 def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
-                dense_output=True, max_step=np.inf):
+                dense_output=False, max_step=np.inf):
     rtol, atol = tol
     res = solve_ivp(
         rhs,
@@ -134,6 +143,23 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
     return res
 
 
+def _endpoint(rhs, x0, t_span, tol):
+    """Final state of the run `_run_solver(rhs, x0, t_span, tol)` makes.
+
+    Builds RK45 with the options `solve_ivp` passes it and steps it to the
+    end, so the result is bit-identical to `solve_ivp(...).y[:, -1]`, but no
+    intermediate step is kept.  For runs without events or samples.
+    """
+    rtol, atol = tol
+    solver = RK45(rhs, float(t_span[0]), np.asarray(x0, dtype=float),
+                  float(t_span[1]), rtol=rtol, atol=atol, max_step=np.inf)
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
+        raise IntegrationError(f"integration failed: {message}")
+    return solver.y.copy()
+
+
 def integrate(system, x0, t_span, tol=DEFAULT_TOL, t_eval=None,
               max_step=np.inf) -> Trajectory:
     """Integrate dx/dt = f(x) (or rhs(t, x)) over t_span.
@@ -149,7 +175,7 @@ def integrate(system, x0, t_span, tol=DEFAULT_TOL, t_eval=None,
     if t0 == t1:
         return Trajectory(times=np.array([t0]), states=x0[None, :].copy(), _sol=None)
     res = _run_solver(rhs, x0, (t0, t1), tol, t_eval=t_eval,
-                      events=_basin_events(model))
+                      events=_basin_events(model), dense_output=True)
     if res.status == 1:  # terminated by the basin event
         raise PhaselessStateError(
             f"trajectory entered the phaseless neighborhood at t = {res.t[-1]:.6g}"
@@ -165,7 +191,7 @@ def flow(system, x0, t, tol=DEFAULT_TOL):
         model.check_basin(x0)
     if t == 0.0:
         return x0.copy()
-    res = _run_solver(rhs, x0, (0.0, float(t)), tol, dense_output=False,
+    res = _run_solver(rhs, x0, (0.0, float(t)), tol,
                       events=_basin_events(model))
     if res.status == 1:
         raise PhaselessStateError(
@@ -180,7 +206,8 @@ def flow_batch(model: OscillatorModel, X0, t, tol=DEFAULT_TOL):
     A negative t flows backward.  The stack is integrated as one system with
     a shared adaptive step; the per-point accuracy is what the shared error
     control delivers, which is ample for the settle-and-project uses inside
-    the toolkit.
+    the toolkit.  Only the final state is kept, so the memory held is a few
+    copies of the stack however many steps the run takes.
     """
     X0 = np.asarray(X0, dtype=float)
     k, dim = X0.shape
@@ -190,9 +217,7 @@ def flow_batch(model: OscillatorModel, X0, t, tol=DEFAULT_TOL):
 
     if t == 0.0:
         return X0.copy()
-    res = _run_solver(rhs, X0.reshape(-1), (0.0, float(t)), tol,
-                      dense_output=False)
-    return res.y[:, -1].reshape(k, dim).copy()
+    return _endpoint(rhs, X0.reshape(-1), (0.0, float(t)), tol).reshape(k, dim)
 
 
 def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL,
@@ -214,8 +239,7 @@ def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL,
     t_offset = 0.0
     scale = max(1.0, float(np.linalg.norm(x0)))
     if abs(float(section.s(x0))) < 1e-9 * scale:
-        res0 = _run_solver(rhs, x0, (0.0, t_guard), tol, dense_output=False)
-        x0 = res0.y[:, -1]
+        x0 = _endpoint(rhs, x0, (0.0, t_guard), tol)
         t_offset = t_guard
 
     def ev(t, x):

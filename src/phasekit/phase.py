@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
-from .ode import IntegrationError, _run_solver, flow_batch
+from .ode import IntegrationError, _endpoint, _run_solver, flow_batch
 from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
 
 __all__ = [
@@ -211,7 +211,7 @@ def _probe_backward(model, cycle, x0, n_periods, r_cap):
     escape.direction = +1
     try:
         res = _run_solver(rhs, x0, (0.0, -n_periods * cycle.period), _GEOM_TOL,
-                          events=[escape], dense_output=False)
+                          events=[escape])
     except IntegrationError:
         return None
     if res.status == 1:
@@ -363,9 +363,7 @@ def _prc_adjoint(model, cycle, periodic_tol, max_periods):
     w = omega0 * f0 / float(f0 @ f0)
     converged = False
     for _ in range(max_periods):
-        res = _run_solver(rhs, w, (0.0, t_period), _GEOM_TOL,
-                          dense_output=False)
-        w_next = res.y[:, -1]
+        w_next = _endpoint(rhs, w, (0.0, t_period), _GEOM_TOL)
         if np.linalg.norm(w_next - w) <= periodic_tol * np.linalg.norm(w_next):
             w = w_next
             converged = True
@@ -381,8 +379,7 @@ def _prc_adjoint(model, cycle, periodic_tol, max_periods):
     m = cycle.grid_size
     s_nodes = t_period - cycle.grid / omega0      # s for theta_k, k = 0..M-1
     order = np.argsort(s_nodes)
-    res = _run_solver(rhs, w, (0.0, t_period), _GEOM_TOL,
-                      t_eval=s_nodes[order], dense_output=False)
+    res = _run_solver(rhs, w, (0.0, t_period), _GEOM_TOL, t_eval=s_nodes[order])
     values = np.empty((m, model.dim))
     values[order] = res.y.T
     # theta_0 sample sits at s = T; the converged w is that sample.

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 import phasekit as pk
-from phasekit import NoCrossingError, Section
-from phasekit.ode import flow_batch
+from phasekit import IntegrationError, NoCrossingError, Section
+from phasekit.cycles import _jacobian_fn
+from phasekit.ode import _endpoint, flow_batch
 
 
 def radial_radius(r0, t):
@@ -86,6 +90,98 @@ def test_flow_batch_rows_match_single_flows():
     for k in range(len(x0)):
         assert np.linalg.norm(ahead[k] - pk.flow(m, x0[k], 2.0, tol=tol)) < 1e-8
         assert np.linalg.norm(back[k] - pk.flow(m, ahead[k], -2.0, tol=tol)) < 1e-8
+
+
+def solve_ivp_endpoint(rhs, x0, t_span, tol):
+    """The endpoint as read off a full `solve_ivp` run (the reference)."""
+    res = solve_ivp(rhs, t_span, x0, method="RK45", rtol=tol[0], atol=tol[1])
+    assert res.status == 0
+    return res.y[:, -1]
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 2.5), (0.0, -2.5), (1.0, 4.0)])
+def test_endpoint_is_bit_identical_to_solve_ivp(t_span):
+    m = pk.make_model("radial")
+    rhs = lambda t, x: m.f(x)
+    x0 = np.array([0.7, -0.2])
+    for tol in [(1e-9, 1e-11), (1e-11, 1e-13)]:
+        np.testing.assert_array_equal(_endpoint(rhs, x0, t_span, tol),
+                                      solve_ivp_endpoint(rhs, x0, t_span, tol))
+
+
+def test_endpoint_of_a_stack_is_bit_identical_to_solve_ivp():
+    m = pk.make_model("spiral")
+    x0 = spiral_stack()
+    k, dim = x0.shape
+    rhs = lambda t, y: m.f_batch(y.reshape(k, dim)).reshape(-1)
+    tol = (1e-11, 1e-13)
+    want = solve_ivp_endpoint(rhs, x0.reshape(-1), (0.0, 2.0), tol)
+    np.testing.assert_array_equal(_endpoint(rhs, x0.reshape(-1), (0.0, 2.0), tol),
+                                  want)
+    np.testing.assert_array_equal(flow_batch(m, x0, 2.0, tol=tol),
+                                  want.reshape(k, dim))
+
+
+def test_variational_endpoint_is_bit_identical_to_solve_ivp(radial_cycle):
+    # the right-hand side floquet_exponent integrates over one period
+    m, cyc = radial_cycle
+    jac = _jacobian_fn(m)
+    n = m.dim
+
+    def rhs(t, y):
+        dphi = jac(y[:n]) @ y[n:].reshape(n, n)
+        return np.concatenate([np.asarray(m.f(y[:n]), dtype=float),
+                               dphi.reshape(-1)])
+
+    y0 = np.concatenate([cyc.anchor, np.eye(n).reshape(-1)])
+    tol = (1e-10, 1e-13)
+    want = solve_ivp_endpoint(rhs, y0, (0.0, cyc.period), tol)
+    np.testing.assert_array_equal(_endpoint(rhs, y0, (0.0, cyc.period), tol), want)
+    mu = np.linalg.eigvals(want[n:].reshape(n, n))
+    mu_dom = np.delete(mu, np.argmin(np.abs(mu - 1.0)))[0]
+    assert pk.floquet_exponent(m, cyc) == float(np.log(np.abs(mu_dom)) / cyc.period)
+
+
+def test_flow_batch_blow_up_is_an_integration_error():
+    m = pk.OscillatorModel(name="custom", dim=1, f=lambda x: x ** 2,
+                           basin_radius=None)
+    with pytest.raises(IntegrationError, match="integration failed"):
+        flow_batch(m, np.ones((3, 1)), 2.0)
+
+
+def test_flow_batch_of_an_empty_stack():
+    m = pk.make_model("spiral")
+    assert flow_batch(m, np.empty((0, 2)), 2.0).shape == (0, 2)
+
+
+def test_flow_batch_memory_is_bounded(spiral_cycle):
+    # keeping every solver step costs ~1240x the stack; the endpoint ~15x
+    m, cyc = spiral_cycle
+    rng = np.random.default_rng(7)
+    ang = rng.uniform(0.0, 2 * math.pi, 4000)
+    rad = rng.uniform(0.3, 2.0, 4000)
+    x0 = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    tracemalloc.start()
+    try:
+        flow_batch(m, x0, cyc.period, tol=(1e-11, 1e-13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * x0.nbytes
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=0.1, max_value=3.0),
+       st.floats(min_value=0.1, max_value=3.0))
+def test_flow_batch_group_law_on_stuart_landau(omega0, c2, s, t):
+    m = pk.make_model("stuart_landau", omega=omega0 + c2, c2=c2)
+    tol = (1e-11, 1e-13)
+    x0 = spiral_stack()
+    two_steps = flow_batch(m, flow_batch(m, x0, s, tol=tol), t, tol=tol)
+    one_step = flow_batch(m, x0, s + t, tol=tol)
+    assert np.abs(two_steps - one_step).max() < 1e-10
 
 
 def test_spiral_period_return():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phasekit as pk
 from phasekit import PhaselessStateError
+from phasekit.ode import flow_batch
 
 from conftest import circ_err
 
@@ -59,6 +61,23 @@ def test_foliation_invariance(radial_cycle):
         th0 = pk.asymptotic_phase(m, cyc, x)
         th1 = pk.asymptotic_phase(m, cyc, pk.flow(m, x, t, tol=(1e-11, 1e-13)))
         assert circ_err([th1], [th0 + cyc.omega0 * t]) < 1e-5
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0))
+def test_phase_advances_at_omega0_on_stuart_landau(omega0, c2, t):
+    # theta(phi_t(x)) = theta(x) + omega0 * t, with phi_t from flow_batch
+    m = pk.make_model("stuart_landau", omega=omega0 + c2, c2=c2)
+    cyc = pk.find_limit_cycle(m, (1.5, 0.1))
+    rng = np.random.default_rng(2)
+    ang = rng.uniform(0, TWO_PI, 16)
+    rad = rng.uniform(0.5, 1.7, 16)
+    x = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    th0 = pk.asymptotic_phase(m, cyc, x)
+    th1 = pk.asymptotic_phase(m, cyc, flow_batch(m, x, t, tol=(1e-11, 1e-13)))
+    assert circ_err(th1, th0 + omega0 * t) < 1e-7
 
 
 @pytest.mark.parametrize("fixture,expected", [
