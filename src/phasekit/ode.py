@@ -224,12 +224,12 @@ def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL,
                   t_guard: float = 1e-3):
     """First t in (0, t_max] with s(x(t)) = 0 crossed in the section direction.
 
-    Returns (t_star, x_star).  The crossing time is refined on the dense output
-    to root-finder precision; a crossing where the field is nearly tangent to
-    the section is rejected.  A start point sitting on the section is flowed
-    for t_guard before event detection so the trivial t = 0 root is skipped;
-    crossings inside (0, t_guard) are therefore not resolvable from an
-    on-section start.
+    Returns (t_star, x_star).  The crossing time is refined on the crossing
+    step's interpolant to root-finder precision; a crossing where the field
+    is nearly tangent to the section is rejected.  A start point sitting on
+    the section is flowed for t_guard before event detection so the trivial
+    t = 0 root is skipped; crossings inside (0, t_guard) are therefore not
+    resolvable from an on-section start.
     """
     rhs, model = _as_rhs(system)
     x0 = np.asarray(x0, dtype=float)
