@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
-from .ode import (DEFAULT_TOL, Section, find_crossing, integrate, _endpoint,
-                  _run_solver)
+from .ode import DEFAULT_TOL, Section, find_crossing, _endpoint, _run_solver
 
 __all__ = [
     "PeriodicInterpolant",
@@ -232,6 +231,16 @@ def _reproject_to_section(section, x, grad, tol=1e-12):
     return x
 
 
+def _section_y(x):
+    """The default section's function: the second coordinate."""
+    return x[1]
+
+
+def _default_section() -> Section:
+    """The section find_limit_cycle uses when none is given: x[1] = 0, upward."""
+    return Section(s=_section_y, direction=+1)
+
+
 def _default_guess(model: OscillatorModel) -> np.ndarray:
     """Shooting start for a model given without a guess."""
     if model.name == "relaxation":
@@ -257,7 +266,7 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
         raise ValueError(
             f"grid_size must be a positive even integer, got {grid_size!r}")
     if section is None:
-        section = Section(s=lambda x: x[1], direction=+1)
+        section = _default_section()
     guess = np.asarray(guess, dtype=float)
     model.check_basin(guess)
 
@@ -308,15 +317,15 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
                   key=lambda i: (crossings[i][0], crossings[i][1]))
         t_anchor = crossings[key][-1]
         if t_anchor > 0.0:
-            traj = integrate(model, x_base, (0.0, t_anchor), tol=ivp_tol)
-            anchor = traj.states[-1]
+            anchor = _endpoint(lambda t, x: model.f(x), x_base,
+                               (0.0, t_anchor), ivp_tol)
             anchor = _reproject_to_section(section, anchor, grad)
 
     # Sample one period from the anchor, uniformly in time.
     t_nodes = period * np.arange(grid_size) / grid_size
     tight = (min(ivp_tol[0], 1e-10), min(ivp_tol[1], 1e-12))
-    traj = integrate(model, anchor, (0.0, period), tol=tight, t_eval=t_nodes)
-    points = traj.states.copy()
+    points = _run_solver(lambda t, x: model.f(x), anchor, (0.0, period), tight,
+                         t_eval=t_nodes).y.T.copy()
     grid = TWO_PI * np.arange(grid_size) / grid_size
 
     cycle = LimitCycle(model=model, period=float(period), grid=grid,

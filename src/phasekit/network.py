@@ -15,6 +15,12 @@ distinct node cycle unless explicitly prescribed; a prescribed curve is used
 as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
+Per-node geometry that does not depend on the other nodes runs in forked
+worker processes (`_parallel.pmap`): shooting the distinct uncached node
+models, the adjoint of each distinct cycle, and settling the nodes that
+have no closed-form phase.  Each piece is the serial computation, so the
+results do not depend on the worker count.
+
 For planar oscillators read as complex numbers z = x + i y, the pairing
 between a sensitivity Z and a coupling term h is Re(conj(Z) * h), which is
 the plain real dot product of their (Re, Im) vectors; prescribed curves may
@@ -31,8 +37,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, make_model
+from ._parallel import pmap
 from .ode import _run_solver
-from .cycles import LimitCycle, _default_guess, find_limit_cycle
+from .cycles import (LimitCycle, _default_guess, _default_section,
+                     find_limit_cycle)
 from .phase import asymptotic_phase, phase_sensitivity
 from .reduction import CouplingFunction, mean_value
 
@@ -201,7 +209,9 @@ class NetworkSpec:
     def cycles(self) -> list:
         """Limit cycle per node (cached; equal built-in models share one)."""
         if self._cycles is None:
-            self._cycles = [_cached_cycle(mdl) for mdl in self.models]
+            _fill_cycle_cache(self.models)
+            self._cycles = [_CYCLE_CACHE[_cycle_cache_key(mdl)]
+                            for mdl in self.models]
         return self._cycles
 
 
@@ -216,32 +226,58 @@ def _cycle_cache_key(model: OscillatorModel):
     return (model.name, tuple(sorted(model.params.items())))
 
 
-def _cached_cycle(model: OscillatorModel) -> LimitCycle:
-    key = _cycle_cache_key(model)
-    if key not in _CYCLE_CACHE:
-        # edge averages inherit the cycle's radial error as an uncancelled
-        # Fourier mode, so network cycles are held well below the 1e-12
-        # budget of the vanishing-coupling checks
-        _CYCLE_CACHE[key] = find_limit_cycle(model, _default_guess(model),
-                                             tol=1e-12,
-                                             ivp_tol=(1e-12, 1e-14))
-    return _CYCLE_CACHE[key]
+def _shoot(model: OscillatorModel) -> tuple:
+    """(period, grid, points, anchor, floquet) of a network node's cycle."""
+    # edge averages inherit the cycle's radial error as an uncancelled
+    # Fourier mode, so network cycles are held well below the 1e-12
+    # budget of the vanishing-coupling checks
+    cycle = find_limit_cycle(model, _default_guess(model), tol=1e-12,
+                             ivp_tol=(1e-12, 1e-14))
+    return cycle.period, cycle.grid, cycle.points, cycle.anchor, cycle.floquet
+
+
+def _fill_cycle_cache(models) -> None:
+    """Shoot every distinct uncached model, the models spread over workers."""
+    todo = {}
+    for model in models:
+        key = _cycle_cache_key(model)
+        if key not in _CYCLE_CACHE:
+            todo.setdefault(key, model)
+    for (key, model), (period, grid, points, anchor, floquet) in zip(
+            todo.items(), pmap(_shoot, todo.values())):
+        _CYCLE_CACHE[key] = LimitCycle(
+            model=model, period=period, grid=grid, points=points,
+            anchor=anchor, floquet=floquet, section=_default_section())
+
+
+def _prescribed(spec: NetworkSpec, i: int) -> Optional[Callable]:
+    if spec.prescribed_sensitivity is None:
+        return None
+    return spec.prescribed_sensitivity[i]
+
+
+def _adjoints(spec: NetworkSpec, cycles: list) -> dict:
+    """id(cycle) -> adjoint samples for every cycle some node reads.
+
+    Nodes share a cycle object only when their models are equal, so each
+    distinct cycle gets one adjoint; the adjoints run in worker processes.
+    """
+    todo = {}
+    for i, cycle in enumerate(cycles):
+        if _prescribed(spec, i) is None:
+            todo.setdefault(id(cycle), (spec.models[i], cycle))
+    values = pmap(lambda task: phase_sensitivity(*task).values, todo.values())
+    return dict(zip(todo, values))
 
 
 def _sensitivity_values(spec: NetworkSpec, i: int, cycle: LimitCycle,
                         adjoints: dict):
     """Sensitivity samples on the cycle grid for node i (prescribed wins).
 
-    adjoints maps id(cycle) to adjoint samples already computed in this
-    build; nodes share a cycle object only when their models are equal, so
-    they share the adjoint too.
+    adjoints maps id(cycle) to the adjoint samples of `_adjoints`.
     """
-    pres = None
-    if spec.prescribed_sensitivity is not None:
-        pres = spec.prescribed_sensitivity[i]
+    pres = _prescribed(spec, i)
     if pres is None:
-        if id(cycle) not in adjoints:
-            adjoints[id(cycle)] = phase_sensitivity(spec.models[i], cycle).values
         return adjoints[id(cycle)], False
     sample = np.asarray(pres(cycle.grid))
     if np.iscomplexobj(sample):
@@ -293,8 +329,10 @@ def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
     Edge functions are computed as the circular correlation of the node
     sensitivity with the coupling term around the cycles: with both cycles on
     one uniform M-grid the phase shift is an index roll, so the average is a
-    plain circulant sum, exact for band-limited integrands.  Time-varying
-    adjacency entries are reduced to constants with `mean_value`.
+    plain circulant sum, exact for band-limited integrands.  The adjoints
+    of the distinct node cycles are computed in worker processes.
+    Time-varying adjacency entries are reduced to constants with
+    `mean_value`, once per distinct (a_ij, b_ij, c_ij).
     """
     cycles = spec.cycles()
     n = spec.n_nodes
@@ -305,34 +343,39 @@ def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
     h = spec.coupling_fn()
 
     sens_vals = {}
-    adjoints = {}
+    adjoints = _adjoints(spec, cycles)
     prescribed_any = False
     for i in range(n):
         sens_vals[i], was_prescribed = _sensitivity_values(spec, i, cycles[i],
                                                            adjoints)
         prescribed_any = prescribed_any or was_prescribed
 
-    # Reduce the adjacency to constants.
+    # Reduce the adjacency to constants, averaging each distinct
+    # (a_ij, b_ij, c_ij) entry once.
     a_eff = spec.a.copy()
     if not spec.has_static_adjacency():
+        means = {}
         for i in range(n):
             for j in range(n):
                 bij = spec.b[i, j] if spec.b is not None else 0.0
                 cij = spec.c[i, j] if spec.c is not None else 0.0
                 if bij == 0.0 and cij == 0.0:
                     continue
+                triple = (spec.a[i, j], bij, cij)
+                if triple not in means:
+                    def entry(t, _a=spec.a[i, j], _b=bij, _c=cij):
+                        t = np.asarray(t, dtype=float)
+                        out = np.full(t.shape, _a)
+                        if _b:
+                            out = out + _b * np.cos(spec.nu1 * t)
+                        if _c:
+                            out = out + _c * np.cos(spec.nu2 * t)
+                        return out
 
-                def entry(t, _a=spec.a[i, j], _b=bij, _c=cij):
-                    t = np.asarray(t, dtype=float)
-                    out = np.full(t.shape, _a)
-                    if _b:
-                        out = out + _b * np.cos(spec.nu1 * t)
-                    if _c:
-                        out = out + _c * np.cos(spec.nu2 * t)
-                    return out
-
-                a_eff[i, j] = mean_value(entry, t_max=6e7,
-                                         tol=adjacency_mean_tol, panel=2.0)
+                    means[triple] = mean_value(entry, t_max=6e7,
+                                               tol=adjacency_mean_tol,
+                                               panel=2.0)
+                a_eff[i, j] = means[triple]
 
     edges = {}
     for i in range(n):
@@ -493,18 +536,23 @@ def network_phases(spec: NetworkSpec, traj: NetworkTrajectory,
     """Asymptotic phase of every node at every sample of a full trajectory.
 
     Uses the per-node closed-form phase map when the model carries one,
-    otherwise settles the states numerically (batched per node).
+    otherwise settles the states numerically (batched per node, the nodes
+    spread over worker processes).
     """
     cycles = spec.cycles()
     n = spec.n_nodes
     out = np.empty((len(traj.times), n))
+    numeric = []
     for i in range(n):
         mdl = spec.models[i]
-        states_i = traj.states[:, i, :]
         if mdl.analytic_phase is not None:
-            out[:, i] = mdl.analytic_phase(states_i)
+            out[:, i] = mdl.analytic_phase(traj.states[:, i, :])
         else:
-            out[:, i] = asymptotic_phase(mdl, cycles[i], states_i)
+            numeric.append(i)
+    settled = pmap(lambda i: asymptotic_phase(spec.models[i], cycles[i],
+                                              traj.states[:, i, :]), numeric)
+    for i, phases in zip(numeric, settled):
+        out[:, i] = phases
     if unwrap:
         out = np.unwrap(out, axis=0)
     return out
@@ -595,7 +643,8 @@ SUBHARMONIC_WEIGHTS = (-2.0, 1.0)
 
 def get_cycle(model: OscillatorModel) -> LimitCycle:
     """Limit cycle of a single model, via the shared network cycle cache."""
-    return _cached_cycle(model)
+    _fill_cycle_cache([model])
+    return _CYCLE_CACHE[_cycle_cache_key(model)]
 
 
 def subharmonic_pair(d_omega: float, epsilon: float, mu: float = 1.0,

@@ -7,6 +7,8 @@ back-rotation bookkeeping.  Isochrons are grown from the cycle by the inverse
 route: seed points a few microns off the cycle along the isochron tangent and
 map them outward with whole backward periods, which preserves their phase
 while the contraction rate amplifies the offset to the requested distance.
+The two sides of the cycle are mapped independently, in forked worker
+processes (`_parallel.pmap`), with the same bits as a serial run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
+from ._parallel import pmap
 from .ode import IntegrationError, _endpoint, _run_solver, flow_batch
 from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
 
@@ -134,7 +137,8 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     seeding along the isochron tangent; farther points seed microscopically
     close to the cycle and are carried outward by whole backward periods
     (which leave the phase untouched), with a secant pass on the seed size so
-    the achieved radii land on the requested grid.  The cycle point gamma(theta)
+    the achieved radii land on the requested grid; the inner and outer sides
+    are mapped in two worker processes.  The cycle point gamma(theta)
     is always included and points are ordered by radius.  n_points must be
     at least 1.
     """
@@ -170,12 +174,16 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     pts[direct] = g0[None, :] + (side[direct] * d_t[direct])[:, None] * w[None, :]
 
     r_cap = 4.0 * max(r_hi, float(np.linalg.norm(cycle.points, axis=1).max()))
-    for sgn in (1.0, -1.0):
-        sel = (~direct) & (side == sgn)
-        if not np.any(sel):
-            continue
-        pts[sel] = _map_isochron_side(model, cycle, g0, sgn * w, d_t[sel],
-                                      r_cycle, s_lin, r_cap)
+    sides = [(sgn, (~direct) & (side == sgn)) for sgn in (1.0, -1.0)]
+    sides = [(sgn, sel) for sgn, sel in sides if np.any(sel)]
+
+    def map_side(job):
+        sgn, sel = job
+        return _map_isochron_side(model, cycle, g0, sgn * w, d_t[sel],
+                                  r_cycle, s_lin, r_cap)
+
+    for (_, sel), side_pts in zip(sides, pmap(map_side, sides)):
+        pts[sel] = side_pts
 
     pts = np.vstack([pts, g0[None, :]])
     radii = np.linalg.norm(pts, axis=1)

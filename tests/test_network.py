@@ -471,15 +471,9 @@ def test_prescribed_pair_defeats_first_order_reduction():
 @pytest.mark.parametrize("prescribe_even, calls", [(False, 5), (True, 4)])
 def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
         monkeypatch, prescribe_even, calls):
+    import phasekit._parallel as parallel
     import phasekit.network as network
 
-    seen = []
-
-    def counting(model, cycle, *args, **kwargs):
-        seen.append(id(cycle))
-        return phase_sensitivity(model, cycle, *args, **kwargs)
-
-    monkeypatch.setattr(network, "phase_sensitivity", counting)
     n = 8
     a = np.zeros((n, n))
     for i in range(n):
@@ -498,18 +492,49 @@ def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
         pres = [z if i % 2 == 0 else None for i in range(n)]
     spec = NetworkSpec(models=models, epsilon=0.05, a=a, coupling="diffusive",
                        prescribed_sensitivity=pres)
-    pm = build_phase_model(spec)
-    assert len(seen) == calls == len(set(seen))
-    assert pm.prescribed == prescribe_even
+    cycles = spec.cycles()
+    built = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda w=workers: w)
+        with monkeypatch.context() as mp:
+            if workers == 1:
+                # the serial loop runs in this process: count the adjoints
+                seen = []
+
+                def counting(model, cycle, *args, **kwargs):
+                    seen.append(id(cycle))
+                    return phase_sensitivity(model, cycle, *args, **kwargs)
+
+                mp.setattr(network, "phase_sensitivity", counting)
+            else:
+                # forked workers hide their calls: count the cycles handed
+                # to the one map build_phase_model makes
+                maps = []
+
+                def recording(fn, items):
+                    items = list(items)
+                    maps.append(items)
+                    return parallel.pmap(fn, items)
+
+                mp.setattr(network, "pmap", recording)
+                seen = None
+            pm = build_phase_model(spec)
+        if seen is None:
+            assert len(maps) == 1
+            seen = [id(cycle) for _, cycle in maps[0]]
+        assert len(seen) == calls == len(set(seen))
+        assert pm.prescribed == prescribe_even
+        built[workers] = pm
+    for key, cf in built[1].edges.items():
+        np.testing.assert_array_equal(cf.values, built[2].edges[key].values)
     if prescribe_even:
         return
     # a node sharing node 0's cycle gets the edges of its own adjoint
-    cycles = spec.cycles()
     assert cycles[4] is cycles[0]
     own = phase_sensitivity(models[4], cycles[4]).values
     for j in (3, 5):
         np.testing.assert_array_equal(
-            pm.edges[(4, j)].values,
+            built[2].edges[(4, j)].values,
             network._edge_average(own, cycles[4].points, cycles[j].points,
                                   spec.coupling_fn()))
 
