@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .models import TWO_PI, make_model, sinusoidal_forcing
+from ._parallel import pmap
 from .cycles import _default_guess, find_limit_cycle
 from .phase import compute_isochron, phase_sensitivity
 from .reduction import average_periodic
@@ -395,8 +396,8 @@ _SWEEP_COLUMNS = ["d_omega", "epsilon", "S", "locked", "psi_star"]
 
 
 def _run_sweep(d_list, tc):
-    """Thresholds for each detuning; returns (results dict, csv rows)."""
-    results = [_run_threshold(d, tc) for d in d_list]
+    """Thresholds for each detuning, in workers; (results dict, csv rows)."""
+    results = pmap(lambda d: _run_threshold(d, tc), d_list)
     rows = []
     for d, res in zip(d_list, results):
         rows.extend(_threshold_rows(d, res))

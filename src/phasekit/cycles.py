@@ -23,7 +23,6 @@ __all__ = [
     "UnstableCycleError",
     "find_limit_cycle",
     "floquet_exponent",
-    "gamma_at",
 ]
 
 
@@ -197,10 +196,6 @@ class LimitCycle:
             theta = theta - res / slope
         theta = wrap_phase(theta)
         return theta, np.linalg.norm(pts - self._interp(theta), axis=1)
-
-
-def gamma_at(cycle: LimitCycle, theta):
-    return cycle.gamma_at(theta)
 
 
 def _section_chart(section: Section, x, fd_step=1e-7):

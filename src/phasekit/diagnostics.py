@@ -146,6 +146,10 @@ class CouplingRangeError(RuntimeError):
         super().__init__(message)
         self.side = side
 
+    def __reduce__(self):
+        # pickle with both arguments, so the error can leave a worker process
+        return type(self), (*self.args, self.side)
+
 
 @dataclass
 class CriticalCouplingResult:

@@ -15,11 +15,12 @@ distinct node cycle unless explicitly prescribed; a prescribed curve is used
 as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
-Per-node geometry that does not depend on the other nodes runs in forked
-worker processes (`_parallel.pmap`): shooting the distinct uncached node
-models, the adjoint of each distinct cycle, and settling the nodes that
-have no closed-form phase.  Each piece is the serial computation, so the
-results do not depend on the worker count.
+Independent work runs in forked worker processes (`_parallel.pmap`):
+shooting the distinct uncached node models, the adjoint of each distinct
+cycle, settling the nodes that have no closed-form phase, and in
+`compare_full_vs_reduced` the phase-model build next to the full run.  A
+map inside a worker runs serially there.  Each piece is the serial
+computation, so the results do not depend on the worker count.
 
 For planar oscillators read as complex numbers z = x + i y, the pairing
 between a sensitivity Z and a coupling term h is Re(conj(Z) * h), which is
@@ -580,19 +581,38 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
     horizon_mult itself when epsilon is not positive), and horizon_mult must
     be positive.  The full run's phases are aligned to the reduced run's
     initial condition, and errors are circular distances per node and sample.
+
+    Without pm, the node cycles are shot first; then the phase-model build
+    and the full run with its node phases run as two branches in worker
+    processes, each branch serial inside its worker.  The build comes
+    first, so its errors and warnings keep their serial order.  With pm
+    given, only the full run and its phases are computed.
     """
     if not horizon_mult > 0.0:
         raise ValueError(f"horizon_mult must be positive, got {horizon_mult!r}")
     n = spec.n_nodes
     theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
-    if pm is None:
-        pm = build_phase_model(spec)
     eps = spec.epsilon
     horizon = horizon_mult / eps if eps > 0.0 else horizon_mult
     t_eval = np.linspace(0.0, horizon, n_samples)
-    full = simulate_full(spec, (0.0, horizon), theta0=theta0, t_eval=t_eval,
-                         tol=tol)
-    th_full = network_phases(spec, full)
+
+    def reduced():
+        model = build_phase_model(spec)
+        model.cycles = None     # cycles hold closures, which do not pickle
+        return model
+
+    def full_phases():
+        full = simulate_full(spec, (0.0, horizon), theta0=theta0,
+                             t_eval=t_eval, tol=tol)
+        return network_phases(spec, full)
+
+    if pm is None:
+        # shoot here, so both branches inherit the cycles through fork
+        cycles = spec.cycles()
+        pm, th_full = pmap(lambda branch: branch(), [reduced, full_phases])
+        pm.cycles = cycles
+    else:
+        th_full = full_phases()
     # Align branch: unwrapped full phases start at theta0 modulo 2*pi.
     th_full += np.round((theta0 - th_full[0]) / TWO_PI) * TWO_PI
     red = simulate_phase_model(pm, theta0, (0.0, horizon), t_eval=t_eval)

@@ -5,7 +5,7 @@ adjoint runs, isochron mapping, network sweeps) goes through the helpers here
 so tolerances and error handling stay in one place.  Each entry point keeps
 only what its callers read:
 
-- `integrate` keeps every step and the dense interpolant (`Trajectory`);
+- `integrate` keeps every step, or the `t_eval` samples (`Trajectory`);
 - `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
   (the basin guard, the section) located on the step's interpolant;
 - `flow_batch` (and the whole-period runs of the Floquet and adjoint stages)
@@ -71,37 +71,13 @@ class Section:
 
 @dataclass
 class Trajectory:
-    """Sampled solution with a dense interpolant.
+    """Sampled solution: every solver step, or the requested t_eval samples.
 
-    times are strictly monotone (increasing for forward runs); dense_eval
-    reproduces the stored samples exactly at the stored times.
+    times are strictly monotone (increasing for forward runs).
     """
 
     times: np.ndarray
     states: np.ndarray
-    _sol: Optional[Callable] = None
-
-    def dense_eval(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tq = np.atleast_1d(t_arr)
-        lo = min(self.times[0], self.times[-1])
-        hi = max(self.times[0], self.times[-1])
-        if np.any(tq < lo - 1e-12) or np.any(tq > hi + 1e-12):
-            raise ValueError("dense_eval query outside the integrated span")
-        if self._sol is None:
-            out = np.repeat(self.states[:1], len(tq), axis=0)
-        else:
-            out = np.asarray(self._sol(tq)).T.copy()
-        # Snap stored samples so nodal queries are bit-exact.
-        idx = np.searchsorted(self.times, tq) if self.times[0] <= self.times[-1] \
-            else len(self.times) - np.searchsorted(self.times[::-1], tq, side="right")
-        for k, (tk, i) in enumerate(zip(tq, np.atleast_1d(idx))):
-            for j in (i - 1, i, i + 1):
-                if 0 <= j < len(self.times) and self.times[j] == tk:
-                    out[k] = self.states[j]
-                    break
-        return out[0] if scalar else out
 
 
 def _as_rhs(system: Union[OscillatorModel, Callable]) -> Tuple[Callable, Optional[OscillatorModel]]:
@@ -124,7 +100,7 @@ def _basin_events(model: Optional[OscillatorModel]):
 
 
 def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
-                dense_output=False, max_step=np.inf):
+                max_step=np.inf):
     rtol, atol = tol
     res = solve_ivp(
         rhs,
@@ -135,7 +111,6 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
         atol=atol,
         t_eval=t_eval,
         events=events if events else None,
-        dense_output=dense_output,
         max_step=max_step,
     )
     if res.status == -1:
@@ -173,14 +148,14 @@ def integrate(system, x0, t_span, tol=DEFAULT_TOL, t_eval=None,
         model.check_basin(x0)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:
-        return Trajectory(times=np.array([t0]), states=x0[None, :].copy(), _sol=None)
+        return Trajectory(times=np.array([t0]), states=x0[None, :].copy())
     res = _run_solver(rhs, x0, (t0, t1), tol, t_eval=t_eval,
-                      events=_basin_events(model), dense_output=True)
+                      events=_basin_events(model), max_step=max_step)
     if res.status == 1:  # terminated by the basin event
         raise PhaselessStateError(
             f"trajectory entered the phaseless neighborhood at t = {res.t[-1]:.6g}"
         )
-    return Trajectory(times=res.t.copy(), states=res.y.T.copy(), _sol=res.sol)
+    return Trajectory(times=res.t.copy(), states=res.y.T.copy())
 
 
 def flow(system, x0, t, tol=DEFAULT_TOL):

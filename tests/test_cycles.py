@@ -121,13 +121,12 @@ def test_convergence_rate_matches_floquet(radial_cycle):
 def test_gamma_at(radial_cycle):
     _, cyc = radial_cycle
     k = 37
-    np.testing.assert_array_equal(pk.gamma_at(cyc, cyc.grid[k]),
-                                  cyc.points[k])
-    np.testing.assert_allclose(pk.gamma_at(cyc, math.pi / 3),
+    np.testing.assert_array_equal(cyc.gamma_at(cyc.grid[k]), cyc.points[k])
+    np.testing.assert_allclose(cyc.gamma_at(math.pi / 3),
                                [math.cos(math.pi / 3), math.sin(math.pi / 3)],
                                atol=1e-8)
-    np.testing.assert_allclose(pk.gamma_at(cyc, TWO_PI),
-                               pk.gamma_at(cyc, 0.0), atol=1e-12)
+    np.testing.assert_allclose(cyc.gamma_at(TWO_PI), cyc.gamma_at(0.0),
+                               atol=1e-12)
 
 
 def test_unstable_cycle_rejected():

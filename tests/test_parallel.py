@@ -12,7 +12,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import phasekit._parallel as parallel
 import phasekit.network as network
-from phasekit import ShootingError
+from phasekit import (NetworkSpec, PhaseConvergenceError, ShootingError,
+                      compare_full_vs_reduced, make_model, sl_prescribed_pair)
 from phasekit._parallel import pmap
 from phasekit.cli import main
 
@@ -184,10 +185,11 @@ def output_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-# simulate forks for the 3 distinct cycles, their adjoints and the 2
-# relaxation nodes' phases; isochrons for the two sides at each of 4 phases
+# simulate forks for the 3 distinct cycles, then for its two branches (the
+# phase-model build and the full run, whose own maps run serially in the
+# workers); isochrons for the two sides at each of 4 phases
 @pytest.mark.parametrize("command, config, pools", [
-    ("simulate", RING, 3),
+    ("simulate", RING, 2),
     ("isochrons", {"model": {"name": "spiral"}}, 4),
 ], ids=["simulate", "isochrons"])
 def test_cli_bytes_do_not_depend_on_the_worker_count(
@@ -242,3 +244,95 @@ def test_cli_dead_worker_exits_1_with_a_json_line(monkeypatch, capsys,
     assert rc == 1
     err = one_json_line(stdout)
     assert (err["error"], err["type"]) == ("computation", "BrokenProcessPool")
+
+
+# ---------------------------------------------------------------------------
+# The two branches of compare_full_vs_reduced
+# ---------------------------------------------------------------------------
+
+def ring_spec():
+    net = RING["network"]
+    return NetworkSpec(models=[make_model(m["name"], **m["params"])
+                               for m in net["models"]],
+                       epsilon=net["epsilon"], a=net["a"],
+                       coupling=net["coupling"])
+
+
+def compare_ring(monkeypatch, workers):
+    """compare_full_vs_reduced on the ring with a cold cycle cache."""
+    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
+    return compare_full_vs_reduced(ring_spec(), horizon_mult=0.2,
+                                   theta0=[0.3, 1.9, 4.0, 5.5], n_samples=20)
+
+
+def test_comparison_does_not_depend_on_the_worker_count(monkeypatch,
+                                                        executors):
+    reports = [compare_ring(monkeypatch, workers) for workers in (1, 2)]
+    # at 2 workers: one pool shoots the 3 distinct cycles, one runs the
+    # phase-model build next to the full run
+    assert executors == [2, 2]
+    for field in ("times", "theta_full", "theta_reduced", "max_error",
+                  "rms_error", "full_drift", "reduced_drift", "prescribed"):
+        np.testing.assert_array_equal(getattr(reports[0], field),
+                                      getattr(reports[1], field))
+
+
+def test_failing_phase_model_branch_is_the_serial_failure(monkeypatch):
+    def adjoint_fails(model, cycle, *args, **kwargs):
+        raise PhaseConvergenceError(f"adjoint of {model.name} did not settle")
+
+    monkeypatch.setattr(network, "phase_sensitivity", adjoint_fails)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(PhaseConvergenceError) as info:
+            compare_ring(monkeypatch, workers)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(PhaseConvergenceError,
+                       "adjoint of relaxation did not settle")] * 2
+
+
+def test_phase_model_branch_warning_reaches_the_parent(monkeypatch,
+                                                       executors):
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
+    with pytest.warns(UserWarning, match="out of reach"):
+        report = compare_full_vs_reduced(sl_prescribed_pair(0.02, 0.2),
+                                         horizon_mult=0.5, n_samples=20)
+    assert report.prescribed
+    assert executors == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Sweep detunings in workers
+# ---------------------------------------------------------------------------
+
+SWEEP = {"pair": "prescribed", "d_omega": [0.02, 0.04],
+         "bracket": [0.005, 0.1], "t_sim": 150.0, "rel_width": 0.3}
+
+
+def test_sweep_bytes_do_not_depend_on_the_worker_count(
+        monkeypatch, capsys, tmp_path, executors):
+    outputs = {}
+    for workers in (1, 2):
+        rc, _, out = run_cli(monkeypatch, capsys, tmp_path, workers,
+                             "sweep", SWEEP)
+        assert rc == 0
+        outputs[workers] = output_bytes(out)
+    assert outputs[1] == outputs[2]
+    # one pool for the two detunings; each shoots its pair serially
+    assert executors == [2]
+
+
+def test_sweep_range_error_crosses_from_a_worker(monkeypatch, capsys,
+                                                  tmp_path):
+    # locked at the lower end for both detunings: CouplingRangeError
+    config = dict(SWEEP, bracket=[0.08, 0.1])
+    errors = {}
+    for workers in (1, 2):
+        rc, stdout, _ = run_cli(monkeypatch, capsys, tmp_path, workers,
+                                "sweep", config)
+        assert rc == 1
+        errors[workers] = one_json_line(stdout)
+    assert errors[1] == errors[2]
+    assert errors[1]["type"] == "CouplingRangeError"

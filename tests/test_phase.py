@@ -121,6 +121,20 @@ def test_stuart_landau_sensitivity(sl_cycle):
     assert np.max(np.abs(sens.values - want)) < 1e-5
 
 
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=-1.0, max_value=1.0))
+def test_adjoint_matches_the_closed_form_on_stuart_landau(omega0, c2):
+    # the adjoint curve is the closed-form PRC and satisfies Z . f = omega0
+    m = pk.make_model("stuart_landau", omega=omega0 + c2, c2=c2)
+    cyc = pk.find_limit_cycle(m, (1.5, 0.1))
+    sens = pk.phase_sensitivity(m, cyc)
+    want = np.array([m.analytic_prc(t) for t in sens.grid])
+    assert np.max(np.abs(sens.values - want)) < 1e-5
+    dots = np.einsum("kd,kd->k", sens.values, m.f_batch(cyc.points))
+    assert np.max(np.abs(dots - omega0)) < 1e-6
+
+
 def test_radial_isochron_is_ray(radial_cycle):
     m, cyc = radial_cycle
     iso = pk.compute_isochron(m, cyc, 0.0, (0.3, 2.0), n_points=60)
