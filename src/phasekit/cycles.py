@@ -253,7 +253,8 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
     is the section crossing with the largest first coordinate (ties broken by
     the second coordinate).  Raises ShootingError when Newton stalls or the
     return map has a unit multiplier, UnstableCycleError when the orbit's
-    nontrivial Floquet exponent is nonnegative, and ValueError when
+    nontrivial Floquet exponent is nonnegative, FloatingPointError when that
+    exponent cannot be resolved (see floquet_exponent), and ValueError when
     grid_size is not a positive even integer.
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size > 0
@@ -266,21 +267,17 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
     model.check_basin(guess)
 
     # Land on the section first.
-    t0, x_sec = find_crossing(model, guess, section, t_max, tol=ivp_tol)
+    _, x_sec = find_crossing(model, guess, section, t_max, tol=ivp_tol)
     grad, chart = _section_chart(section, x_sec)
     n_chart = chart.shape[1]
     scale = max(1.0, float(np.linalg.norm(x_sec)))
     fd_step = 1e-6 * scale
     period = None
 
-    def return_point(x):
-        t_ret, x_ret = find_crossing(model, x, section, t_max, tol=ivp_tol)
-        return t_ret, x_ret
-
     x_base = x_sec
     converged = False
     for _ in range(max_iter):
-        period, x_ret = return_point(x_base)
+        period, x_ret = find_crossing(model, x_base, section, t_max, tol=ivp_tol)
         if period < 1e-6:
             raise ShootingError(f"degenerate return time {period:.3e}")
         resid = chart.T @ (x_ret - x_base)
@@ -290,8 +287,10 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
         jac = np.empty((n_chart, n_chart))
         for j in range(n_chart):
             dx = chart[:, j] * fd_step
-            _, xp = return_point(_reproject_to_section(section, x_base + dx, grad))
-            _, xm = return_point(_reproject_to_section(section, x_base - dx, grad))
+            _, xp = find_crossing(model, _reproject_to_section(section, x_base + dx, grad),
+                                  section, t_max, tol=ivp_tol)
+            _, xm = find_crossing(model, _reproject_to_section(section, x_base - dx, grad),
+                                  section, t_max, tol=ivp_tol)
             jac[:, j] = (chart.T @ (xp - xm)) / (2 * fd_step)
         jac = jac - np.eye(n_chart)
         if abs(np.linalg.det(jac)) < 1e-8:
@@ -372,50 +371,43 @@ def _jacobian_fn(model: OscillatorModel):
     return fd_jac
 
 
-def floquet_exponent(model: OscillatorModel, cycle: LimitCycle,
-                     method: str = "variational") -> float:
-    """Nontrivial Floquet exponent of the cycle, lambda = log|mu| / T.
+def floquet_exponent(model: OscillatorModel, cycle: LimitCycle) -> float:
+    """Nontrivial Floquet exponent lambda of the cycle.
 
-    method="variational" integrates the variational equation over one period
-    and takes the monodromy eigenvalue furthest from the trivial unit
-    multiplier.  method="return_map" differentiates the Poincare return map on
-    the section chart; with strongly contracting cycles the multiplier sits
-    near roundoff, so this route is a coarse cross-check, not the default.
+    For a planar cycle the trivial exponent is zero, so Liouville's formula
+    gives lambda = (1/T) * integral over one period of trace Df(gamma(t)).
+    cycle.points is uniform in time, so the mean of the trace over the grid
+    is the periodic trapezoid rule, which is spectrally accurate; this runs
+    no integration.  The Jacobian is the model's own, else finite
+    differences.
+
+    For dim > 2 the variational equation is integrated over one period, and
+    lambda = log|mu| / T for the largest monodromy eigenvalue mu apart from
+    the one nearest the trivial multiplier 1.  Raises FloatingPointError when
+    |mu| < 1e-12, where the eigenvalue is roundoff rather than a multiplier.
     """
-    if method == "variational":
-        jac = _jacobian_fn(model)
-        n = model.dim
-        anchor = cycle.anchor
+    jac = _jacobian_fn(model)
+    if model.dim == 2:
+        traces = [np.trace(jac(x)) for x in cycle.points]
+        return float(np.mean(traces))
 
-        def rhs(t, y):
-            x = y[:n]
-            phi = y[n:].reshape(n, n)
-            dx = np.asarray(model.f(x), dtype=float)
-            dphi = jac(x) @ phi
-            return np.concatenate([dx, dphi.reshape(-1)])
+    n = model.dim
 
-        y0 = np.concatenate([anchor, np.eye(n).reshape(-1)])
-        y1 = _endpoint(rhs, y0, (0.0, cycle.period), (1e-10, 1e-13))
-        mono = y1[n:].reshape(n, n)
-        mu = np.linalg.eigvals(mono)
-        trivial = np.argmin(np.abs(mu - 1.0))
-        rest = np.delete(mu, trivial)
-        mu_dom = rest[np.argmax(np.abs(rest))]
-        return float(np.log(np.abs(mu_dom)) / cycle.period)
-    if method == "return_map":
-        section = cycle.section
-        grad, chart = _section_chart(section, cycle.anchor)
-        if chart.shape[1] != 1:
-            raise ValueError("return_map method implemented for planar charts only")
-        e = chart[:, 0]
-        h = 1e-3 * max(1.0, float(np.linalg.norm(cycle.anchor)))
-        tight = (1e-11, 1e-13)
-        _, xp = find_crossing(model, _reproject_to_section(section, cycle.anchor + h * e, grad),
-                              section, 10 * cycle.period, tol=tight)
-        _, xm = find_crossing(model, _reproject_to_section(section, cycle.anchor - h * e, grad),
-                              section, 10 * cycle.period, tol=tight)
-        mu = float(e @ (xp - xm)) / (2 * h)
-        if mu == 0.0:
-            return -np.inf
-        return float(np.log(abs(mu)) / cycle.period)
-    raise ValueError(f"unknown floquet method {method!r}")
+    def rhs(t, y):
+        x = y[:n]
+        phi = y[n:].reshape(n, n)
+        dx = np.asarray(model.f(x), dtype=float)
+        dphi = jac(x) @ phi
+        return np.concatenate([dx, dphi.reshape(-1)])
+
+    y0 = np.concatenate([cycle.anchor, np.eye(n).reshape(-1)])
+    y1 = _endpoint(rhs, y0, (0.0, cycle.period), (1e-10, 1e-13))
+    mu = np.linalg.eigvals(y1[n:].reshape(n, n))
+    rest = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
+    mu_dom = abs(rest[np.argmax(np.abs(rest))])
+    if mu_dom < 1e-12:
+        raise FloatingPointError(
+            f"nontrivial monodromy multiplier {mu_dom:.3e} is below roundoff; "
+            f"its Floquet exponent cannot be resolved over one period"
+        )
+    return float(np.log(mu_dom) / cycle.period)

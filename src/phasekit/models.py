@@ -61,7 +61,7 @@ class OscillatorModel:
         Vector field, ``f(x) -> dx/dt``.
     jacobian : callable or None
         ``jacobian(x) -> (..., dim, dim)`` array; used by the adjoint and
-        variational routines.  When absent, finite differences are used.
+        the Floquet exponent.  When absent, finite differences are used.
     analytic_phase : callable or None
         Closed-form asymptotic phase ``x -> theta in [0, 2*pi)``; oracle only.
     analytic_prc : callable or None

@@ -8,10 +8,11 @@ only what its callers read:
 - `integrate` keeps every step, or the `t_eval` samples (`Trajectory`);
 - `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
   (the basin guard, the section) located on the step's interpolant;
-- `flow_batch` (and the whole-period runs of the Floquet and adjoint stages)
-  keeps only the final state: `_endpoint` steps the same RK45 solver that
-  `solve_ivp` builds, so the endpoint is bit-identical while the memory held
-  stays that of a few states, however many steps the run takes.
+- `flow_batch` (and the whole-period runs of the adjoint stage and of the
+  Floquet stage above two dimensions) keeps only the final state:
+  `_endpoint` steps the same RK45 solver that `solve_ivp` builds, so the
+  endpoint is bit-identical while the memory held stays that of a few
+  states, however many steps the run takes.
 """
 
 from __future__ import annotations

@@ -162,7 +162,6 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
         sens = phase_sensitivity(model, cycle, method="adjoint")
     w = _isochron_tangent(cycle, sens, theta)
     r_cycle = float(np.linalg.norm(g0))
-    lam = cycle.floquet
     s_lin = 1e-4
 
     targets = np.linspace(r_lo, r_hi, n_points)

@@ -1,12 +1,19 @@
 """Command-line layer: configs, outputs, determinism, exit codes."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit.cli import main
 
@@ -346,6 +353,78 @@ def test_sweep_brackets_the_calibrated_threshold(tmp_path, capsys):
     locked_by_eps = {row[1]: row[3] for row in body}
     assert locked_by_eps[min(eps_column)] == 0.0
     assert locked_by_eps[max(eps_column)] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed configs
+# ---------------------------------------------------------------------------
+
+# README minimal configs; isochrons kept to one theta and 5 points.
+_FUZZ_BASE = {
+    "find-cycle": {"model": {"name": "spiral"}},
+    "prc": {"model": {"name": "spiral"}},
+    "reduce": {"model": {"name": "radial"},
+               "forcing": {"omega": 1.0, "amplitude": 1.0, "component": 0}},
+    "isochrons": {"model": {"name": "spiral"}, "n_points": 5,
+                  "thetas": [0.0]},
+}
+
+# Replacement values: other JSON types, raw NaN/Infinity text, and small
+# integers only, so no size key can ask for a huge allocation.
+_FUZZ_VALUES = ["x", [], None, True, {}, math.nan, math.inf, -math.inf,
+                0, -1, 3]
+
+
+def _node_paths(node, prefix=()):
+    """Paths to every key and list entry below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(config, path, mutation):
+    """Copy of config with one mutation applied at path."""
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation == "unknown":
+        target = parent[path[-1]]
+        (target if isinstance(target, dict) else config)["bogus_key"] = 1
+    else:
+        parent[path[-1]] = mutation[1]
+    return config
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_fail_cleanly(command, data):
+    base = _FUZZ_BASE[command]
+    path = data.draw(st.sampled_from(list(_node_paths(base))), label="path")
+    mutation = data.draw(st.sampled_from(
+        ["drop", "unknown"] + [("set", v) for v in _FUZZ_VALUES]),
+        label="mutation")
+    config = _mutate(base, path, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/config.json"
+        with open(cfg, "w") as fh:
+            fh.write(json.dumps(config))      # NaN/Infinity as raw text
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            rc = main([command, "--config", cfg, "--out", f"{tmp}/out"])
+        elapsed = time.perf_counter() - start
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] in ("config", "computation")
+    assert elapsed < 30.0
 
 
 # ---------------------------------------------------------------------------

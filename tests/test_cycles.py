@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import phasekit as pk
 from phasekit import UnstableCycleError, find_limit_cycle, floquet_exponent
 from phasekit.cycles import _PROJECT_CHUNK
+
+from conftest import scalar_only_radial, with_decaying_axis
 
 TWO_PI = 2 * math.pi
 
@@ -71,26 +74,72 @@ def test_floquet_builtin(name, params):
     m = pk.make_model(name, **params)
     cyc = find_limit_cycle(m, (1.5, 0.1))
     lam = floquet_exponent(m, cyc)
-    assert abs(lam - (-2.0)) < 1e-4
+    assert abs(lam - (-2.0)) < 1e-8
 
 
-def test_floquet_return_map_cross_check(radial_cycle):
+@pytest.mark.parametrize("c2", [-1.0, 0.0, 1.0])
+def test_floquet_of_a_slow_stuart_landau_cycle(c2):
+    # omega0 = 0.3: the multiplier exp(-2 T) = e^-42 is far below roundoff,
+    # where a monodromy eigenvalue is noise; Liouville's formula is not
+    m = pk.make_model("stuart_landau", omega=0.3 + c2, c2=c2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cyc = find_limit_cycle(m, (1.5, 0.1))
+        lam = floquet_exponent(m, cyc)
+    assert abs(lam - (-2.0)) < 1e-8
+    assert cyc.floquet == lam
+
+
+def test_floquet_of_a_stiff_relaxation_cycle():
+    # oracle: (1/T) * integral of mu (1 - u^2) along the orbit by DOP853 at
+    # rtol 1e-13; the multiplier is e^-34.9
+    m = pk.make_model("relaxation", mu=3.0)
+    cyc = find_limit_cycle(m, (2.0, 0.0))
+    assert abs(floquet_exponent(m, cyc) - (-3.93911)) < 1e-5
+
+
+def test_floquet_by_finite_difference_jacobian():
+    m = scalar_only_radial()
+    assert m.jacobian is None
+    cyc = find_limit_cycle(m, (1.5, 0.1))
+    assert abs(floquet_exponent(m, cyc) - (-2.0)) < 1e-6
+
+
+def test_planar_floquet_runs_no_integration(radial_cycle, monkeypatch):
     m, cyc = radial_cycle
-    lam = floquet_exponent(m, cyc, method="return_map")
-    # the multiplier exp(-4 pi) sits near roundoff; coarse agreement only
-    assert lam < -1.0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("planar Floquet exponent integrated")
+
+    monkeypatch.setattr("phasekit.cycles._endpoint", no_solve)
+    monkeypatch.setattr("phasekit.ode.solve_ivp", no_solve)
+    assert floquet_exponent(m, cyc) == cyc.floquet
 
 
 def test_floquet_relaxation_liouville():
-    # sum of exponents = time average of trace(Df) along the orbit; the
-    # trivial exponent is zero, so lambda = mean of mu (1 - u^2) on the
-    # uniform-in-time cycle grid
+    # the variational monodromy of the relaxation cycle times dz/dt = -5z
+    # is an independent oracle for the planar trace formula
     m = pk.make_model("relaxation", mu=1.0)
     cyc = find_limit_cycle(m, (2.0, 0.0))
     lam = floquet_exponent(m, cyc)
-    liouville = float(np.mean(1.0 - cyc.points[:, 0] ** 2))
-    assert abs(lam - liouville) < 1e-6
+    m3 = with_decaying_axis(m, 5.0)
+    cyc3 = find_limit_cycle(m3, (2.0, 0.0, 0.5))
+    assert abs(cyc3.floquet - lam) < 1e-6
     assert abs(lam - (-1.0594)) < 1e-3
+
+
+def test_variational_floquet_of_an_embedded_cycle():
+    m = with_decaying_axis(pk.make_model("stuart_landau", omega=2.0, c2=1.0), 3.0)
+    cyc = find_limit_cycle(m, (1.5, 0.1, 0.5))
+    np.testing.assert_allclose(cyc.points[:, 2], 0.0, atol=1e-9)
+    assert abs(floquet_exponent(m, cyc) - (-2.0)) < 1e-6
+
+
+def test_variational_floquet_below_roundoff_raises():
+    # omega0 = 0.3: the multipliers e^-42 and e^-63 both sit below roundoff
+    m = with_decaying_axis(pk.make_model("stuart_landau", omega=0.3, c2=0.0), 3.0)
+    with pytest.raises(FloatingPointError, match="multiplier"):
+        find_limit_cycle(m, (1.5, 0.1, 0.5))
 
 
 def test_random_guesses_agree(radial_cycle):

@@ -6,6 +6,8 @@ import pytest
 import phasekit as pk
 from phasekit import PhaselessStateError, make_model
 
+from conftest import scalar_only_radial
+
 
 def test_radial_field_on_cycle():
     m = make_model("radial")
@@ -189,16 +191,8 @@ def test_builtin_fields_match_stacked_formulation_bitwise(name, kind):
     assert not np.shares_memory(got, xa)
 
 
-def _scalar_only_radial():
-    def f(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        return np.array([x[0] - x[1] - x[0] * r2, x[0] + x[1] - x[1] * r2])
-
-    return make_model("custom", f=f, dim=2, basin_radius=1e-3)
-
-
 def test_scalar_only_f_batch_matches_the_vectorized_field():
-    custom = _scalar_only_radial()
+    custom = scalar_only_radial()
     x = _field_inputs()["batched"]
     got = custom.f_batch(x)
     np.testing.assert_array_equal(got, make_model("radial").f(x))
@@ -206,6 +200,6 @@ def test_scalar_only_f_batch_matches_the_vectorized_field():
 
 
 def test_scalar_only_f_batch_on_an_empty_stack():
-    out = _scalar_only_radial().f_batch(np.empty((0, 2)))
+    out = scalar_only_radial().f_batch(np.empty((0, 2)))
     assert out.shape == (0, 2)
     assert out.dtype == np.float64
