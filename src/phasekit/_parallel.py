@@ -9,8 +9,10 @@ result comes back.  Every task is the same computation it would be in the
 serial loop, so results are bit-identical whatever the worker count.
 
 Results come back in input order.  The first failing item, in input order,
-re-raises its exception type and message in the parent; a worker that dies
-raises `BrokenProcessPool`, a RuntimeError.  Warnings a task raises are
+re-raises its exception type and message in the parent as soon as it fails:
+the tasks not yet started are cancelled and the workers still running are
+terminated, and no worker outlives the map.  A worker that dies raises
+`BrokenProcessPool`, a RuntimeError.  Warnings a task raises are
 recorded in the worker and re-issued in the parent in task order, up to the
 first failing task.  With fewer than two workers, inside a worker, while
 another thread runs (fork copies only the calling thread), or where `fork`
@@ -82,6 +84,13 @@ def pmap(fn, items) -> list:
             for category, message, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
             results.append(result)
+    except BaseException:
+        # fail fast: stop the siblings still running rather than wait for
+        # results that will be thrown away (the executor has no public way
+        # to stop its workers before Python 3.14)
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         _TASK = None

@@ -4,6 +4,12 @@ The cycle is located by Newton shooting on a Poincare section chart and stored
 on a uniform grid in phase theta = omega0 * t, theta in [0, 2*pi).  Phase zero
 sits at the section crossing with the largest first coordinate, so repeated
 runs land on the same parameterization.
+
+The interpolant's complex products run in row blocks small enough for
+OpenBLAS to keep on one thread, so their bits do not depend on the BLAS
+thread count.  `LimitCycle.project` works on stacks in blocks of
+`_PROJECT_CHUNK` rows, and a stack of two or more blocks is projected in
+forked worker processes (`_parallel.pmap`) with the same bits.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._parallel import pmap
 from .models import TWO_PI, OscillatorModel, wrap_phase
 from .ode import DEFAULT_TOL, Section, find_crossing, _endpoint, _run_solver
 
@@ -29,9 +36,30 @@ __all__ = [
 # Rows per block in LimitCycle.project: its nearest-node search holds a
 # (rows, grid_size, dim) array, about 8 MB at the default 256-point grid.
 # With single-threaded BLAS a row's product has the same bits in any block of
-# two or more rows, so blocking leaves the result unchanged; threaded BLAS
-# moves the last bits with its thread count, blocked or not.
+# two or more rows, so blocking leaves the result unchanged, and the blocks
+# of a stack can run in worker processes.
 _PROJECT_CHUNK = 2048
+
+# Largest rows * harmonics * d of one complex product in PeriodicInterpolant.
+# OpenBLAS runs products this small on one thread, so their bits do not
+# depend on the BLAS thread count.
+_SMALL_PRODUCT = 32768
+
+
+def _row_blocks(n, size):
+    """(lo, hi) bounds of blocks of `size` rows covering n rows.
+
+    Never leaves one row alone (unless n is 1): numpy's one-row product path
+    rounds differently from the same row inside a larger product, so a lone
+    last row joins the block before it, which then has size + 1 rows.
+    """
+    bounds = []
+    lo = 0
+    while lo < n:
+        hi = n if lo + size + 1 >= n else lo + size
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 class ShootingError(RuntimeError):
@@ -89,8 +117,20 @@ class PeriodicInterpolant:
         return (self._value(e, theta), self._derivative(e, theta, 1),
                 self._derivative(e, theta, 2))
 
+    @staticmethod
+    def _product(e, w):
+        """e @ w, in blocks of the rows (e's second-to-last axis) with
+        rows * harmonics * d at most _SMALL_PRODUCT, or three rows."""
+        if e.ndim > 1:
+            most = max(3, _SMALL_PRODUCT // (e.shape[-1] * w.shape[-1]))
+            if e.shape[-2] > most:
+                return np.concatenate([e[..., lo:hi, :] @ w for lo, hi
+                                       in _row_blocks(e.shape[-2], most - 1)],
+                                      axis=-2)
+        return e @ w
+
     def _value(self, e, theta):
-        out = np.real(e @ self._weights)
+        out = np.real(self._product(e, self._weights))
         # Nyquist term must enter as a pure cosine for a real interpolant.
         nyq = self._weights[-1].real
         out += np.multiply.outer(
@@ -100,7 +140,7 @@ class PeriodicInterpolant:
 
     def _derivative(self, e, theta, order):
         w = self._weights * (1j * self._k[:, None]) ** order
-        out = np.real(e @ w)
+        out = np.real(self._product(e, w))
         # d/dtheta of the Nyquist cosine, replacing the complex-exponential row.
         kn = self._k[-1]
         nyq = self._weights[-1].real
@@ -167,21 +207,17 @@ class LimitCycle:
         Accepts a single state (dim,) or a stack (K, dim).  theta solves
         (x - gamma(theta)) . gamma'(theta) = 0 near the closest grid node.
         Stacks are projected in blocks of about _PROJECT_CHUNK rows, so
-        memory stays bounded for any K.
+        memory stays bounded for any K; a stack of two or more blocks is
+        projected in forked worker processes (`_parallel.pmap`), one block
+        per task, with the same bits as a serial run.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        n = len(pts)
-        theta = np.empty(n)
-        dist = np.empty(n)
-        lo = 0
-        while lo < n:
-            # Never leave one row alone: numpy's one-row product path rounds
-            # differently from the same row inside a larger product.
-            hi = n if lo + _PROJECT_CHUNK + 1 >= n else lo + _PROJECT_CHUNK
-            theta[lo:hi], dist[lo:hi] = self._project_chunk(pts[lo:hi])
-            lo = hi
+        blocks = _row_blocks(len(pts), _PROJECT_CHUNK)
+        parts = pmap(lambda b: self._project_chunk(pts[b[0]:b[1]]), blocks)
+        theta = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
+        dist = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
         if single:
             return float(theta[0]), float(dist[0])
         return theta, dist

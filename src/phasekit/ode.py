@@ -12,7 +12,9 @@ only what its callers read:
   Floquet stage above two dimensions) keeps only the final state:
   `_endpoint` steps the same RK45 solver that `solve_ivp` builds, so the
   endpoint is bit-identical while the memory held stays that of a few
-  states, however many steps the run takes.
+  states, however many steps the run takes.  The isochron probes use it
+  too, with an escape guard that stops the run where `solve_ivp`'s terminal
+  event would.
 """
 
 from __future__ import annotations
@@ -119,20 +121,31 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
     return res
 
 
-def _endpoint(rhs, x0, t_span, tol):
+def _endpoint(rhs, x0, t_span, tol, escape=None):
     """Final state of the run `_run_solver(rhs, x0, t_span, tol)` makes.
 
     Builds RK45 with the options `solve_ivp` passes it and steps it to the
     end, so the result is bit-identical to `solve_ivp(...).y[:, -1]`, but no
-    intermediate step is kept.  For runs without events or samples.
+    intermediate step is kept.  For runs without samples.
+
+    escape: optional guard g(y).  The run stops and returns None at the
+    first step whose end takes g from <= 0 to >= 0, exactly where
+    `solve_ivp` stops with status 1 on the terminal upward event
+    `g(y)`, since events never change the steps.
     """
     rtol, atol = tol
     solver = RK45(rhs, float(t_span[0]), np.asarray(x0, dtype=float),
                   float(t_span[1]), rtol=rtol, atol=atol, max_step=np.inf)
+    g = None if escape is None else escape(solver.y)
     while solver.status == "running":
         message = solver.step()
-    if solver.status == "failed":
-        raise IntegrationError(f"integration failed: {message}")
+        if solver.status == "failed":
+            raise IntegrationError(f"integration failed: {message}")
+        if escape is not None:
+            g_new = escape(solver.y)
+            if g <= 0 <= g_new:
+                return None
+            g = g_new
     return solver.y.copy()
 
 

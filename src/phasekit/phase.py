@@ -8,7 +8,9 @@ route: seed points a few microns off the cycle along the isochron tangent and
 map them outward with whole backward periods, which preserves their phase
 while the contraction rate amplifies the offset to the requested distance.
 The two sides of the cycle are mapped independently, in forked worker
-processes (`_parallel.pmap`), with the same bits as a serial run.
+processes (`_parallel.pmap`), with the same bits as a serial run; each probe
+of a side steps the endpoint-only solver with an escape guard.  The
+projections of a large batch run in workers too (`LimitCycle.project`).
 """
 
 from __future__ import annotations
@@ -211,19 +213,15 @@ def _probe_backward(model, cycle, x0, n_periods, r_cap):
     def rhs(t, y):
         return np.asarray(model.f(y), dtype=float)
 
-    def escape(t, y):
+    def escape(y):
         return float(np.linalg.norm(y) - r_cap)
 
-    escape.terminal = True
-    escape.direction = +1
     try:
-        res = _run_solver(rhs, x0, (0.0, -n_periods * cycle.period), _GEOM_TOL,
-                          events=[escape])
+        end = _endpoint(rhs, x0, (0.0, -n_periods * cycle.period), _GEOM_TOL,
+                        escape=escape)
     except IntegrationError:
         return None
-    if res.status == 1:
-        return None
-    return float(np.linalg.norm(res.y[:, -1]))
+    return None if end is None else float(np.linalg.norm(end))
 
 
 def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):

@@ -1,7 +1,23 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import phasekit as pk
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail a test that leaves a child process running, after stopping it."""
+    yield
+    leaked = multiprocessing.active_children()
+    message = f"child processes left running: {leaked}"
+    for child in leaked:
+        child.terminate()
+    for child in leaked:
+        child.join()
+    if leaked:
+        pytest.fail(message)
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +48,14 @@ def radial_sens(radial_cycle):
 def spiral_sens(spiral_cycle):
     model, cycle = spiral_cycle
     return pk.phase_sensitivity(model, cycle)
+
+
+def spiral_states(k, seed=11):
+    """k seeded states at random angles and radii in [0.3, 2], shape (k, 2)."""
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2.0 * np.pi, k)
+    rad = rng.uniform(0.3, 2.0, k)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
 
 def circ_err(a, b):

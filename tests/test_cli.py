@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phasekit
 from phasekit.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -425,6 +427,34 @@ def test_fuzzed_configs_fail_cleanly(command, data):
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] in ("config", "computation")
     assert elapsed < 30.0
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, config", [
+    ("reduce", _FUZZ_BASE["reduce"]),
+    ("prc", {"model": {"name": "spiral"}, "method": "finite_difference"}),
+], ids=["reduce", "prc-finite-difference"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command,
+                                                      config):
+    cfg = write_config(tmp_path, config)
+    src = os.path.dirname(os.path.dirname(phasekit.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasekit.cli", command,
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.name: p.read_bytes()
+                            for p in sorted(out.iterdir())}
+    assert outputs["1"] == outputs["2"]
 
 
 # ---------------------------------------------------------------------------

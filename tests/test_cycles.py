@@ -9,9 +9,9 @@ import pytest
 
 import phasekit as pk
 from phasekit import UnstableCycleError, find_limit_cycle, floquet_exponent
-from phasekit.cycles import _PROJECT_CHUNK
+from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
 
-from conftest import scalar_only_radial, with_decaying_axis
+from conftest import scalar_only_radial, spiral_states, with_decaying_axis
 
 TWO_PI = 2 * math.pi
 
@@ -226,43 +226,71 @@ def _unblocked_project(cycle, pts):
     return theta, np.linalg.norm(pts - interp(theta), axis=1)
 
 
-def _project_stack(k, seed=11):
-    rng = np.random.default_rng(seed)
-    ang = rng.uniform(0.0, TWO_PI, k)
-    rad = rng.uniform(0.3, 2.0, k)
-    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-
-
 _BLOCKED_CHECK = """
 import sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import phasekit as pk
-from test_cycles import _PROJECT_CHUNK, _project_stack, _unblocked_project
+from conftest import spiral_states
+from test_cycles import _PROJECT_CHUNK, _unblocked_project
 cyc = pk.find_limit_cycle(pk.make_model("spiral"), (0.5, 0.5))
 for k in (_PROJECT_CHUNK + 1, _PROJECT_CHUNK + 2, 2 * _PROJECT_CHUNK + 3):
-    pts = _project_stack(k)
+    pts = spiral_states(k)
     for got, want in zip(cyc.project(pts), _unblocked_project(cyc, pts)):
         np.testing.assert_array_equal(got, want)
 """
 
 
-def test_blocked_project_matches_one_pass_bitwise():
-    # Run with one BLAS thread: threaded BLAS moves the last bits of the
-    # product with its thread count, for one pass and blocks alike.
+def run_with_one_blas_thread(script):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_CHECK, os.path.dirname(__file__)],
+        [sys.executable, "-c", script, os.path.dirname(__file__)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_blocked_project_matches_one_pass_bitwise():
+    # With one BLAS thread a row's product has the same bits in any block of
+    # two or more rows.
+    run_with_one_blas_thread(_BLOCKED_CHECK)
+
+
+_PRODUCT_CHECK = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import phasekit as pk
+rng = np.random.default_rng(2)
+w = rng.normal(size=(129, 2)) + 1j * rng.normal(size=(129, 2))
+for shape in ((2, 129), (1000, 129), (3, 300, 129)):
+    e = np.exp(1j * rng.uniform(0.0, 7.0, shape))
+    np.testing.assert_array_equal(pk.PeriodicInterpolant._product(e, w), e @ w)
+"""
+
+
+def test_interpolant_product_in_blocks_matches_one_product_bitwise():
+    run_with_one_blas_thread(_PRODUCT_CHECK)
+
+
+@pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (4, 4), (5, 4), (6, 4),
+                                     (9, 4), (10, 4), (4099, 2048)])
+def test_row_blocks_cover_the_rows_without_a_lone_row(n, size):
+    bounds = _row_blocks(n, size)
+    starts = [lo for lo, _ in bounds] + [n]
+    assert starts[0] == 0
+    assert [hi for _, hi in bounds] == starts[1:]
+    for lo, hi in bounds:
+        assert hi - lo <= size + 1 and (hi - lo >= 2 or n == 1)
+    if 0 < n <= size + 1:
+        assert bounds == [(0, n)]
 
 
 def test_project_rows_match_single_states(spiral_cycle):
     # A single state runs numpy's one-row product, so it agrees with its row
     # of a stack to rounding rather than bit for bit.
     _, cyc = spiral_cycle
-    pts = _project_stack(_PROJECT_CHUNK + 2)
+    pts = spiral_states(_PROJECT_CHUNK + 2)
     theta, dist = cyc.project(pts)
     for i in (0, _PROJECT_CHUNK - 1, _PROJECT_CHUNK, _PROJECT_CHUNK + 1):
         th_i, d_i = cyc.project(pts[i])

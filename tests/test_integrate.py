@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 import phasekit as pk
 from phasekit import IntegrationError, NoCrossingError, Section
 from phasekit.cycles import _jacobian_fn
-from phasekit.ode import _endpoint, flow_batch
+from phasekit.ode import _endpoint, _run_solver, flow_batch
 
 from conftest import with_decaying_axis
 
@@ -145,6 +145,50 @@ def test_variational_endpoint_is_bit_identical_to_solve_ivp():
     rest = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
     mu_dom = np.max(np.abs(rest))
     assert pk.floquet_exponent(m, cyc) == float(np.log(mu_dom) / cyc.period)
+
+
+def escape_outcome(rhs, x0, t_span, r_cap, tol=(1e-11, 1e-13)):
+    """How `_endpoint(escape=...)` ends, checked against `_run_solver` with
+    the same guard as a terminal upward event."""
+
+    def escape(y):
+        return float(np.linalg.norm(y) - r_cap)
+
+    def event(t, y):
+        return escape(y)
+
+    event.terminal = True
+    event.direction = +1
+    x0 = np.asarray(x0, dtype=float)
+    try:
+        res = _run_solver(rhs, x0, t_span, tol, events=[event])
+    except IntegrationError as err:
+        with pytest.raises(IntegrationError) as info:
+            _endpoint(rhs, x0, t_span, tol, escape=escape)
+        assert str(info.value) == str(err)
+        return "failed"
+    got = _endpoint(rhs, x0, t_span, tol, escape=escape)
+    if res.status == 1:
+        assert got is None
+        return "escaped"
+    assert res.status == 0
+    np.testing.assert_array_equal(got, res.y[:, -1])
+    return "finished"
+
+
+@pytest.mark.parametrize("x0, t_span, outcome", [
+    ((1.05, 0.0), (0.0, -6 * math.pi), "escaped"),
+    ((1.0 + 1e-6, 0.0), (0.0, -2 * math.pi), "finished"),
+    ((3.0, 0.0), (0.0, 2.0), "finished"),        # starts beyond the cap
+], ids=["escapes", "stays-inside", "starts-beyond"])
+def test_endpoint_escape_guard_matches_a_terminal_event(x0, t_span, outcome):
+    m = pk.make_model("spiral")
+    assert escape_outcome(lambda t, x: m.f(x), x0, t_span, 2.0) == outcome
+
+
+def test_endpoint_escape_guard_on_a_blow_up_is_an_integration_error():
+    assert escape_outcome(lambda t, x: x ** 2, [1.0], (0.0, 2.0),
+                          np.inf) == "failed"
 
 
 def test_flow_batch_blow_up_is_an_integration_error():

@@ -2,8 +2,10 @@
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -13,8 +15,12 @@ from concurrent.futures.process import BrokenProcessPool
 import phasekit._parallel as parallel
 import phasekit.network as network
 from phasekit import (NetworkSpec, PhaseConvergenceError, ShootingError,
-                      compare_full_vs_reduced, make_model, sl_prescribed_pair)
+                      asymptotic_phase, compare_full_vs_reduced, make_model,
+                      sl_prescribed_pair)
 from phasekit._parallel import pmap
+from phasekit.cycles import _PROJECT_CHUNK
+
+from conftest import spiral_states
 from phasekit.cli import main
 
 
@@ -116,6 +122,22 @@ def test_first_failing_item_reraises_its_exception(monkeypatch, workers):
     force_workers(monkeypatch, workers)
     with pytest.raises(ShootingError, match=r"^item 1 did not converge$"):
         pmap(failing, [0, 1, 2])
+
+
+def test_first_failure_stops_the_running_siblings(monkeypatch):
+    force_workers(monkeypatch, 2)
+
+    def fail_or_sleep(k):
+        if k == 0:
+            raise ShootingError("item 0 did not converge")
+        time.sleep(5.0)
+        return k
+
+    start = time.perf_counter()
+    with pytest.raises(ShootingError, match=r"^item 0 did not converge$"):
+        pmap(fail_or_sleep, [0, 1])
+    assert time.perf_counter() - start < 2.0
+    assert multiprocessing.active_children() == []
 
 
 def test_dead_worker_breaks_the_pool(monkeypatch):
@@ -336,3 +358,45 @@ def test_sweep_range_error_crosses_from_a_worker(monkeypatch, capsys,
         errors[workers] = one_json_line(stdout)
     assert errors[1] == errors[2]
     assert errors[1]["type"] == "CouplingRangeError"
+
+
+# ---------------------------------------------------------------------------
+# LimitCycle.project and asymptotic_phase over blocks in workers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [2 * _PROJECT_CHUNK + 3, 5000])
+def test_project_does_not_depend_on_the_worker_count(monkeypatch, executors,
+                                                     spiral_cycle, rows):
+    _, cyc = spiral_cycle
+    pts = spiral_states(rows)
+    results = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        results.append(cyc.project(pts))
+    for got, want in zip(results[1], results[0]):
+        np.testing.assert_array_equal(got, want)
+    # one pool, for the blocks at 2 workers
+    assert executors == [2]
+
+
+@pytest.mark.parametrize("states", [
+    spiral_states(_PROJECT_CHUNK + 1), spiral_states(1)[0],
+    np.empty((0, 2))], ids=["one-block", "single-state", "empty"])
+def test_project_of_one_block_never_creates_an_executor(
+        monkeypatch, executors, spiral_cycle, states):
+    force_workers(monkeypatch, 2)
+    _, cyc = spiral_cycle
+    theta, dist = cyc.project(states)
+    assert np.shape(theta) == np.shape(dist) == states.shape[:-1]
+    assert executors == []
+
+
+def test_asymptotic_phase_does_not_depend_on_the_worker_count(monkeypatch,
+                                                              spiral_cycle):
+    model, cyc = spiral_cycle
+    pts = spiral_states(5000, seed=0)
+    phases = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        phases.append(asymptotic_phase(model, cyc, pts))
+    np.testing.assert_array_equal(phases[0], phases[1])
