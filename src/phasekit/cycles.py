@@ -197,10 +197,6 @@ class LimitCycle:
             out[on_node] = self.points[idx[on_node]]
         return out
 
-    def velocity_at(self, theta):
-        """d gamma / d theta; the vector field on the cycle is omega0 * this."""
-        return self._interp.derivative(np.asarray(wrap_phase(theta), dtype=float))
-
     def project(self, x):
         """Orthogonal projection onto the cycle: (theta, distance).
 

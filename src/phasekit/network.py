@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import TWO_PI, OscillatorModel, make_model
+from .models import TWO_PI, OscillatorModel, make_model, wrap_phase
 from ._parallel import pmap
 from .ode import _run_solver
 from .cycles import (LimitCycle, _default_guess, _default_section,
@@ -306,16 +306,6 @@ class PhaseModel:
     cycles: list
     prescribed: bool = False
 
-    def edge_coupling(self, i: int, j: int) -> Optional[CouplingFunction]:
-        return self.edges.get((i, j))
-
-    def effective_edge_values(self, i: int, j: int) -> np.ndarray:
-        """a_eff[i, j] * qbar_ij on the grid (zeros when no edge)."""
-        cf = self.edges.get((i, j))
-        if cf is None:
-            return np.zeros(self.cycles[i].grid_size)
-        return self.a_eff[i, j] * cf.values
-
     def max_coupling_scale(self) -> float:
         best = 0.0
         for (i, j), cf in self.edges.items():
@@ -516,20 +506,31 @@ def simulate_phase_model(pm: PhaseModel, theta0, t_span, t_eval=None,
                          tol=(1e-9, 1e-11)) -> NetworkTrajectory:
     """Integrate the reduced phase equations; phases returned unwrapped."""
     theta0 = np.asarray(theta0, dtype=float)
-    n = pm.n_nodes
-    eps = pm.epsilon
-    edge_items = [(i, j, pm.a_eff[i, j], cf) for (i, j), cf in pm.edges.items()]
-
-    def rhs(t, th):
-        dth = pm.Omega.copy()
-        for i, j, aij, cf in edge_items:
-            dth[i] += eps * aij * float(cf(th[j] - th[i]))
-        return dth
-
-    res = _run_solver(rhs, theta0, (float(t_span[0]), float(t_span[1])), tol,
-                      t_eval=t_eval)
+    res = _run_solver(_phase_rhs(pm), theta0,
+                      (float(t_span[0]), float(t_span[1])), tol, t_eval=t_eval)
     return NetworkTrajectory(times=res.t.copy(), states=res.y.T[:, :, None],
                              phases=res.y.T.copy())
+
+
+def _phase_rhs(pm: PhaseModel):
+    """The phase equations' rhs, all edges' qbar_ij evaluated at once from
+    their stacked Fourier weights (the Nyquist term a pure cosine, as in
+    PeriodicInterpolant) and summed per node by bincount."""
+    i, j = np.array(list(pm.edges), dtype=int).reshape(-1, 2).T
+    gain = pm.epsilon * pm.a_eff[i, j]
+    rows = [cf._interp._weights[:, 0] for cf in pm.edges.values()]
+    weights = np.array(rows) if rows else np.zeros((0, 1))
+    k = np.arange(weights.shape[1])
+
+    def rhs(t, th):
+        psi = wrap_phase(th[j] - th[i])
+        e = np.exp(1j * np.multiply.outer(psi, k))
+        qbar = np.real(np.sum(e * weights, axis=1)) + (
+            np.cos(psi * k[-1]) - np.real(e[:, -1])) * weights[:, -1].real
+        return pm.Omega + np.bincount(i, weights=gain * qbar,
+                                      minlength=pm.n_nodes)
+
+    return rhs
 
 
 def network_phases(spec: NetworkSpec, traj: NetworkTrajectory,

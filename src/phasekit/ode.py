@@ -1,16 +1,19 @@
 """Initial value problem driver: adaptive integration, flows, section crossings.
 
-Thin contract layer over scipy's RK45.  Everything downstream (shooting,
-adjoint runs, isochron mapping, network sweeps) goes through the helpers here
-so tolerances and error handling stay in one place.  Each entry point keeps
-only what its callers read:
+Thin contract layer over scipy's eighth-order Dormand-Prince pair DOP853
+(Hairer, Norsett & Wanner, Solving ODEs I, 1993, sec. II.10).  A caller's
+tol = (rtol, atol) is the accuracy it asks for: DOP853 runs at a tenth of
+both (`_solver_tol`), and an rtol whose tenth is under scipy's floor of
+100 * eps is a ValueError, not a silent clamp.  Everything downstream goes
+through the helpers here, so method, tolerances and errors stay in one
+place.  Each entry point keeps only what its callers read:
 
 - `integrate` keeps every step, or the `t_eval` samples (`Trajectory`);
 - `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
   (the basin guard, the section) located on the step's interpolant;
 - `flow_batch` (and the whole-period runs of the adjoint stage and of the
   Floquet stage above two dimensions) keeps only the final state:
-  `_endpoint` steps the same RK45 solver that `solve_ivp` builds, so the
+  `_endpoint` steps the same solver that `solve_ivp` builds, so the
   endpoint is bit-identical while the memory held stays that of a few
   states, however many steps the run takes.  The isochron probes use it
   too, with an escape guard that stops the run where `solve_ivp`'s terminal
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .models import OscillatorModel, PhaselessStateError
 
@@ -42,6 +45,17 @@ __all__ = [
 
 # (rtol, atol) used by the geometry stages; sweeps loosen this deliberately.
 DEFAULT_TOL = (1e-9, 1e-11)
+
+_METHOD = DOP853   # the one integration method
+
+
+def _solver_tol(tol):
+    """The (rtol, atol) `_METHOD` runs at for a caller's tol: a tenth of each."""
+    rtol, floor = 0.1 * tol[0], 100 * np.finfo(float).eps
+    if rtol < floor:
+        raise ValueError(f"rtol {tol[0]:g} would run the solver at {rtol:g}, "
+                         f"below scipy's floor 100*eps = {floor:.3g}")
+    return rtol, 0.1 * tol[1]
 
 
 class IntegrationError(RuntimeError):
@@ -104,18 +118,10 @@ def _basin_events(model: Optional[OscillatorModel]):
 
 def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
                 max_step=np.inf):
-    rtol, atol = tol
-    res = solve_ivp(
-        rhs,
-        t_span,
-        np.asarray(x0, dtype=float),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        events=events if events else None,
-        max_step=max_step,
-    )
+    rtol, atol = _solver_tol(tol)
+    res = solve_ivp(rhs, t_span, np.asarray(x0, dtype=float), method=_METHOD,
+                    rtol=rtol, atol=atol, t_eval=t_eval,
+                    events=events if events else None, max_step=max_step)
     if res.status == -1:
         raise IntegrationError(f"integration failed: {res.message}")
     return res
@@ -124,18 +130,19 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
 def _endpoint(rhs, x0, t_span, tol, escape=None):
     """Final state of the run `_run_solver(rhs, x0, t_span, tol)` makes.
 
-    Builds RK45 with the options `solve_ivp` passes it and steps it to the
-    end, so the result is bit-identical to `solve_ivp(...).y[:, -1]`, but no
-    intermediate step is kept.  For runs without samples.
+    Builds `_METHOD` with the options `solve_ivp` passes it (tolerances
+    mapped by `_solver_tol`) and steps it to the end, so the result is
+    bit-identical to `solve_ivp(...).y[:, -1]`, but no intermediate step is
+    kept.  For runs without samples.
 
     escape: optional guard g(y).  The run stops and returns None at the
     first step whose end takes g from <= 0 to >= 0, exactly where
     `solve_ivp` stops with status 1 on the terminal upward event
     `g(y)`, since events never change the steps.
     """
-    rtol, atol = tol
-    solver = RK45(rhs, float(t_span[0]), np.asarray(x0, dtype=float),
-                  float(t_span[1]), rtol=rtol, atol=atol, max_step=np.inf)
+    rtol, atol = _solver_tol(tol)
+    solver = _METHOD(rhs, float(t_span[0]), np.asarray(x0, dtype=float),
+                     float(t_span[1]), rtol=rtol, atol=atol, max_step=np.inf)
     g = None if escape is None else escape(solver.y)
     while solver.status == "running":
         message = solver.step()

@@ -68,9 +68,6 @@ class CouplingFunction:
     def __call__(self, psi):
         return self._interp(np.asarray(wrap_phase(psi), dtype=float))
 
-    def derivative(self, psi):
-        return self._interp.derivative(np.asarray(wrap_phase(psi), dtype=float))
-
     @property
     def max_abs(self) -> float:
         dense = self(np.linspace(0.0, TWO_PI, 2048, endpoint=False))
@@ -113,9 +110,6 @@ class ReducedTrajectory:
     times: np.ndarray
     theta: np.ndarray  # unwrapped phase
 
-    def wrapped(self):
-        return wrap_phase(self.theta)
-
 
 def simulate_reduced(sens: PhaseSensitivity, cycle: LimitCycle,
                      pert: Perturbation, theta0: float, t_span,
@@ -134,11 +128,8 @@ def simulate_reduced(sens: PhaseSensitivity, cycle: LimitCycle,
     omega0 = cycle.omega0
 
     def rhs(t, y):
-        th = y[0]
-        z = sens(th)
-        x = cycle.gamma_at(th)
-        return np.array([omega0 + eps * float(z @ np.asarray(pert.p(x, t),
-                                                             dtype=float))])
+        return np.array([omega0 + eps * gamma_instantaneous(sens, cycle, pert,
+                                                             y[0], t)])
 
     res = _run_solver(rhs, np.array([float(theta0)]),
                       (float(t_span[0]), float(t_span[1])), tol, t_eval=t_eval)

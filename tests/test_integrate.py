@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from scipy.integrate import solve_ivp
 import phasekit as pk
 from phasekit import IntegrationError, NoCrossingError, Section
 from phasekit.cycles import _jacobian_fn
-from phasekit.ode import _endpoint, _run_solver, flow_batch
+from phasekit.ode import (_METHOD, _endpoint, _run_solver, _solver_tol,
+                          flow_batch)
 
-from conftest import with_decaying_axis
+from conftest import circ_err, spiral_states, with_decaying_axis
 
 
 def radial_radius(r0, t):
@@ -95,8 +97,10 @@ def test_flow_batch_rows_match_single_flows():
 
 
 def solve_ivp_endpoint(rhs, x0, t_span, tol):
-    """The endpoint as read off a full `solve_ivp` run (the reference)."""
-    res = solve_ivp(rhs, t_span, x0, method="RK45", rtol=tol[0], atol=tol[1])
+    """The endpoint as read off a full `solve_ivp` run (the reference), with
+    the method and tolerance map `ode` defines."""
+    rtol, atol = _solver_tol(tol)
+    res = solve_ivp(rhs, t_span, x0, method=_METHOD, rtol=rtol, atol=atol)
     assert res.status == 0
     return res.y[:, -1]
 
@@ -250,6 +254,52 @@ def test_convergence_order():
     # halving (here: decimating) tol must cut the endpoint error by >= 2x
     for a, b in zip(errs, errs[1:]):
         assert b < a / 2 or b < 1e-12
+
+
+def closed_form_errors(model, cycle, period):
+    """Errors of the period, the adjoint PRC and the asymptotic phase of 200
+    seeded states against the model's closed forms."""
+    sens = pk.phase_sensitivity(model, cycle)
+    prc = np.max(np.abs(sens.values - model.analytic_prc(sens.grid)))
+    pts = spiral_states(200)
+    phase = circ_err(pk.asymptotic_phase(model, cycle, pts),
+                     model.analytic_phase(pts))
+    return abs(cycle.period - period), prc, phase
+
+
+def test_closed_form_errors_on_spiral(spiral_cycle):
+    # RK45 at the callers' tolerances gave 2.45e-9, 2.35e-9 and 4.98e-9 here
+    period, prc, phase = closed_form_errors(*spiral_cycle, 2 * math.pi)
+    assert period < 1e-10
+    assert prc < 3e-10
+    assert phase < 5e-10
+
+
+def test_closed_form_errors_on_stuart_landau():
+    # RK45 at the callers' tolerances gave 4.67e-10, 7.71e-10 and 3.93e-9 here
+    m = pk.make_model("stuart_landau", omega=3.0, c2=1.0)
+    cyc = pk.find_limit_cycle(m, (1.5, 0.1))
+    period, prc, phase = closed_form_errors(m, cyc, math.pi)
+    assert period < 4.7e-10
+    assert prc < 7.8e-10
+    assert phase < 4e-9
+
+
+def test_solver_rtol_below_the_floor_is_a_value_error():
+    m = pk.make_model("radial")
+    rhs = lambda t, x: m.f(x)
+    x0 = np.array([0.7, -0.2])
+    runs = [lambda tol: _run_solver(rhs, x0, (0.0, 1.0), tol),
+            lambda tol: _endpoint(rhs, x0, (0.0, 1.0), tol),
+            lambda tol: pk.flow(m, x0, 1.0, tol=tol)]
+    for run in runs:
+        with pytest.raises(ValueError, match="floor"):
+            run((1e-13, 1e-15))
+    # the tightest tolerance the toolkit asks for runs without scipy's clamp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            run((1e-12, 1e-14))
 
 
 def test_trajectory_invariants():

@@ -18,6 +18,7 @@ from phasekit import (
     simulate_phase_model,
     sl_prescribed_pair,
 )
+from phasekit.network import _phase_rhs
 
 TWO_PI = 2.0 * np.pi
 
@@ -383,6 +384,43 @@ def test_phase_model_linear_drift_without_coupling():
     traj = simulate_phase_model(pm, theta0, (0.0, 25.0), t_eval=t_eval)
     expect = theta0[None, :] + t_eval[:, None] * pm.Omega[None, :]
     assert np.max(np.abs(traj.phases - expect)) < 1e-9
+
+
+def modulated_ring(n=8):
+    """The network-reduce benchmark's ring: alternating relaxation and
+    Stuart-Landau nodes, diffusive coupling to both neighbours, forward edges
+    modulated at sqrt(2) and backward edges at 1."""
+    models = [make_model("relaxation", mu=1.0) if i % 2 == 0 else
+              make_model("stuart_landau", omega=round(1.94 + 0.01 * i, 10),
+                         c2=1.0)
+              for i in range(n)]
+    a, b, c = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        nxt = (i + 1) % n
+        a[i, nxt] = a[nxt, i] = 0.5
+        b[nxt, i] = 0.2
+        c[i, nxt] = -0.1
+    return NetworkSpec(models=models, epsilon=0.05, a=a, b=b, c=c,
+                       nu1=np.sqrt(2.0), nu2=1.0, coupling="diffusive")
+
+
+@pytest.mark.parametrize("edges", ["ring", "none"])
+def test_phase_rhs_matches_the_per_edge_sum(edges, sl_pair):
+    if edges == "ring":
+        pm = build_phase_model(modulated_ring())
+        assert len(pm.edges) == 16
+    else:
+        pm = build_phase_model(NetworkSpec(models=sl_pair.models,
+                                           epsilon=0.05, a=np.zeros((2, 2))))
+        assert not pm.edges
+    rhs = _phase_rhs(pm)
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        th = rng.uniform(-20.0, 20.0, pm.n_nodes)
+        want = pm.Omega.copy()
+        for (i, j), cf in pm.edges.items():
+            want[i] += pm.epsilon * pm.a_eff[i, j] * float(cf(th[j] - th[i]))
+        np.testing.assert_allclose(rhs(0.0, th), want, rtol=0, atol=1e-14)
 
 
 def test_phase_model_equivariant_under_common_shift(sl_pair_pm):
