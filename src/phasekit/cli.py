@@ -85,18 +85,17 @@ def _build_model(node, context="model"):
         raise ConfigError(str(exc), field=context) from exc
 
 
-def _cycle_for(model, node, context=""):
-    grid_size = get_typed(node, "grid_size", (int,), default=256, context=context)
+def _cycle_for(model, node):
+    grid_size = get_typed(node, "grid_size", (int,), default=256)
     if grid_size <= 0 or grid_size % 2:
-        label = (context + "." if context else "") + "grid_size"
-        raise ConfigError(f"config key {label} must be a positive even integer",
-                          field=label)
-    guess = _num_list(node, "guess", default=None, context=context)
+        raise ConfigError("config key grid_size must be a positive even integer",
+                          field="grid_size")
+    guess = _num_list(node, "guess", default=None)
     if guess is None:
         guess = _default_guess(model)
     elif len(guess) != model.dim:
         raise ConfigError(f"guess must have {model.dim} entries", field="guess")
-    tol = _num(node, "shooting_tol", default=1e-10, context=context)
+    tol = _num(node, "shooting_tol", default=1e-10)
     return find_limit_cycle(model, guess, tol=tol, grid_size=grid_size)
 
 
@@ -333,12 +332,11 @@ _SWEEP_KEYS = {"pair", "d_omega", "bracket", "rel_width", "kappa", "mu",
                "c2", "t_sim", "threshold"}
 
 
-def _threshold_config(config, context=""):
-    pair = get_typed(config, "pair", (str,), default="subharmonic",
-                     context=context)
+def _threshold_config(config):
+    pair = get_typed(config, "pair", (str,), default="subharmonic")
     if pair not in ("subharmonic", "prescribed"):
         raise ConfigError(f"unknown pair: {pair}", field="pair")
-    bracket = _num_list(config, "bracket", default=None, context=context)
+    bracket = _num_list(config, "bracket", default=None)
     if bracket is not None and (len(bracket) != 2
                                 or not 0 < bracket[0] < bracket[1]):
         raise ConfigError("bracket must be [lo, hi] with 0 < lo < hi",
@@ -349,14 +347,13 @@ def _threshold_config(config, context=""):
     return {
         "pair": pair,
         "bracket": bracket,
-        "rel_width": _num(config, "rel_width", 0.05, context),
+        "rel_width": _num(config, "rel_width", 0.05),
         "kappa": _num(config, "kappa",
-                      SUBHARMONIC_KAPPA if pair == "subharmonic" else 1.0,
-                      context),
-        "mu": _num(config, "mu", 1.0, context),
-        "c2": _num(config, "c2", 1.0, context),
-        "t_sim": _num(config, "t_sim", None, context),
-        "threshold": _num(config, "threshold", None, context),
+                      SUBHARMONIC_KAPPA if pair == "subharmonic" else 1.0),
+        "mu": _num(config, "mu", 1.0),
+        "c2": _num(config, "c2", 1.0),
+        "t_sim": _num(config, "t_sim", None),
+        "threshold": _num(config, "threshold", None),
     }
 
 
@@ -435,7 +432,10 @@ def cmd_sweep(config, args):
 
 
 def cmd_fit_scaling(config, args):
-    """Config: d_omega_list (default four octaves), pair options."""
+    """Config: d_omega_list (default four octaves), subharmonic pair options."""
+    if config.get("pair") == "prescribed":
+        raise ConfigError("fit-scaling needs the subharmonic pair's automatic "
+                          "bracket; pair \"prescribed\" has none", field="pair")
     check_keys(config, (_SWEEP_KEYS - {"d_omega", "bracket"})
                | {"d_omega_list"}, (), "")
     d_list = _num_list(config, "d_omega_list",
@@ -447,7 +447,6 @@ def cmd_fit_scaling(config, args):
         raise ConfigError("d_omega_list values must be positive",
                           field="d_omega_list")
     tc = _threshold_config(config)
-    tc["bracket"] = None
     results, rows = _run_sweep(d_list, tc)
     eps_c = [results[d].eps_c for d in d_list]
     fit = scaling_fit(d_list, eps_c)

@@ -15,7 +15,6 @@ forked worker processes (`_parallel.pmap`) with the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -161,13 +160,11 @@ class PeriodicInterpolant:
 class LimitCycle:
     """Periodic orbit sampled uniformly in phase (equivalently, in time)."""
 
-    model: OscillatorModel
     period: float
     grid: np.ndarray          # phases theta_k = 2*pi*k/M
     points: np.ndarray        # (M, dim) states, points[k] = gamma(theta_k)
     anchor: np.ndarray        # gamma(0), on the section
     floquet: float            # nontrivial Floquet exponent, < 0
-    section: Section
     _interp: PeriodicInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -230,42 +227,40 @@ class LimitCycle:
         return theta, np.linalg.norm(pts - self._interp(theta), axis=1)
 
 
-def _section_chart(section: Section, x, fd_step=1e-7):
+def _section_y(x):
+    """The section's function: the second coordinate."""
+    return x[1]
+
+
+_SECTION = Section(s=_section_y, direction=+1)   # x[1] = 0, crossed upward
+_CROSSING_T_MAX = 200.0   # longest wait for a crossing while shooting
+_MAX_NEWTON = 50          # shooting's Newton iterations
+
+
+def _section_chart(x):
     """Orthonormal basis of the section tangent space at x (columns)."""
     x = np.asarray(x, dtype=float)
     n = len(x)
+    h = 1e-7
     grad = np.empty(n)
     for i in range(n):
         e = np.zeros(n)
-        e[i] = fd_step
-        grad[i] = (float(section.s(x + e)) - float(section.s(x - e))) / (2 * fd_step)
-    norm = np.linalg.norm(grad)
-    if norm == 0.0:
-        raise ShootingError("section gradient vanishes at the working point")
-    grad /= norm
+        e[i] = h
+        grad[i] = (float(_SECTION.s(x + e)) - float(_SECTION.s(x - e))) / (2 * h)
+    grad /= np.linalg.norm(grad)
     # Complete grad to an orthonormal basis; drop the gradient direction.
     basis = np.linalg.qr(np.column_stack([grad, np.eye(n)]))[0]
     return grad, basis[:, 1:n]
 
 
-def _reproject_to_section(section, x, grad, tol=1e-12):
+def _reproject_to_section(x, grad):
     x = np.array(x, dtype=float)
     for _ in range(5):
-        val = float(section.s(x))
-        if abs(val) < tol:
+        val = float(_SECTION.s(x))
+        if abs(val) < 1e-12:
             break
         x -= val * grad
     return x
-
-
-def _section_y(x):
-    """The default section's function: the second coordinate."""
-    return x[1]
-
-
-def _default_section() -> Section:
-    """The section find_limit_cycle uses when none is given: x[1] = 0, upward."""
-    return Section(s=_section_y, direction=+1)
 
 
 def _default_guess(model: OscillatorModel) -> np.ndarray:
@@ -275,32 +270,33 @@ def _default_guess(model: OscillatorModel) -> np.ndarray:
     return np.array([1.5, 0.1]) if model.dim == 2 else np.ones(model.dim)
 
 
-def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] = None,
-                     tol: float = 1e-10, grid_size: int = 256,
-                     t_max: float = 200.0, max_iter: int = 50,
+def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
+                     grid_size: int = 256,
                      ivp_tol=DEFAULT_TOL) -> LimitCycle:
     """Locate a stable limit cycle by Newton shooting on a section chart.
 
-    Returns the cycle sampled at grid_size phases, anchored so that phase zero
-    is the section crossing with the largest first coordinate (ties broken by
-    the second coordinate).  Raises ShootingError when Newton stalls or the
-    return map has a unit multiplier, UnstableCycleError when the orbit's
-    nontrivial Floquet exponent is nonnegative, FloatingPointError when that
-    exponent cannot be resolved (see floquet_exponent), and ValueError when
-    grid_size is not a positive even integer.
+    The section is `_SECTION`, x[1] = 0 crossed upward; each crossing is
+    searched for up to `_CROSSING_T_MAX` = 200 time units, and Newton gets
+    `_MAX_NEWTON` = 50 iterations.  Returns the cycle sampled at grid_size
+    phases, anchored so that phase zero is the section crossing with the
+    largest first coordinate (ties broken by the second coordinate).  Raises
+    ShootingError when Newton stalls or the return map has a unit
+    multiplier, UnstableCycleError when the orbit's nontrivial Floquet
+    exponent is nonnegative, FloatingPointError when that exponent cannot be
+    resolved (see floquet_exponent), and ValueError when grid_size is not a
+    positive even integer.
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size > 0
             and grid_size % 2 == 0):
         raise ValueError(
             f"grid_size must be a positive even integer, got {grid_size!r}")
-    if section is None:
-        section = _default_section()
     guess = np.asarray(guess, dtype=float)
     model.check_basin(guess)
 
     # Land on the section first.
-    _, x_sec = find_crossing(model, guess, section, t_max, tol=ivp_tol)
-    grad, chart = _section_chart(section, x_sec)
+    _, x_sec = find_crossing(model, guess, _SECTION, _CROSSING_T_MAX,
+                             tol=ivp_tol)
+    grad, chart = _section_chart(x_sec)
     n_chart = chart.shape[1]
     scale = max(1.0, float(np.linalg.norm(x_sec)))
     fd_step = 1e-6 * scale
@@ -308,8 +304,9 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
 
     x_base = x_sec
     converged = False
-    for _ in range(max_iter):
-        period, x_ret = find_crossing(model, x_base, section, t_max, tol=ivp_tol)
+    for _ in range(_MAX_NEWTON):
+        period, x_ret = find_crossing(model, x_base, _SECTION, _CROSSING_T_MAX,
+                                      tol=ivp_tol)
         if period < 1e-6:
             raise ShootingError(f"degenerate return time {period:.3e}")
         resid = chart.T @ (x_ret - x_base)
@@ -319,10 +316,10 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
         jac = np.empty((n_chart, n_chart))
         for j in range(n_chart):
             dx = chart[:, j] * fd_step
-            _, xp = find_crossing(model, _reproject_to_section(section, x_base + dx, grad),
-                                  section, t_max, tol=ivp_tol)
-            _, xm = find_crossing(model, _reproject_to_section(section, x_base - dx, grad),
-                                  section, t_max, tol=ivp_tol)
+            _, xp = find_crossing(model, _reproject_to_section(x_base + dx, grad),
+                                  _SECTION, _CROSSING_T_MAX, tol=ivp_tol)
+            _, xm = find_crossing(model, _reproject_to_section(x_base - dx, grad),
+                                  _SECTION, _CROSSING_T_MAX, tol=ivp_tol)
             jac[:, j] = (chart.T @ (xp - xm)) / (2 * fd_step)
         jac = jac - np.eye(n_chart)
         if abs(np.linalg.det(jac)) < 1e-8:
@@ -331,13 +328,13 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
                 "the orbit is not transversally hyperbolic"
             )
         step = np.linalg.solve(jac, -resid)
-        x_base = _reproject_to_section(section, x_base + chart @ step, grad)
+        x_base = _reproject_to_section(x_base + chart @ step, grad)
     if not converged:
-        raise ShootingError(f"shooting did not converge in {max_iter} iterations")
+        raise ShootingError(f"shooting did not converge in {_MAX_NEWTON} iterations")
 
     # Anchor: among this orbit's section crossings, take max first coordinate.
     anchor = x_base
-    crossings = _collect_crossings(model, x_base, section, period, ivp_tol)
+    crossings = _collect_crossings(model, x_base, period, ivp_tol)
     if crossings:
         key = max(range(len(crossings)),
                   key=lambda i: (crossings[i][0], crossings[i][1]))
@@ -345,7 +342,7 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
         if t_anchor > 0.0:
             anchor = _endpoint(lambda t, x: model.f(x), x_base,
                                (0.0, t_anchor), ivp_tol)
-            anchor = _reproject_to_section(section, anchor, grad)
+            anchor = _reproject_to_section(anchor, grad)
 
     # Sample one period from the anchor, uniformly in time.
     t_nodes = period * np.arange(grid_size) / grid_size
@@ -354,9 +351,8 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
                          t_eval=t_nodes).y.T.copy()
     grid = TWO_PI * np.arange(grid_size) / grid_size
 
-    cycle = LimitCycle(model=model, period=float(period), grid=grid,
-                       points=points, anchor=anchor.copy(), floquet=0.0,
-                       section=section)
+    cycle = LimitCycle(period=float(period), grid=grid, points=points,
+                       anchor=anchor.copy(), floquet=0.0)
     lam = floquet_exponent(model, cycle)
     if lam >= 0.0:
         raise UnstableCycleError(
@@ -367,20 +363,20 @@ def find_limit_cycle(model: OscillatorModel, guess, section: Optional[Section] =
     return cycle
 
 
-def _collect_crossings(model, x_start, section, period, ivp_tol):
+def _collect_crossings(model, x_start, period, ivp_tol):
     """(x1, x2, t) for every section crossing in (0, period]."""
 
     def ev(t, x):
-        return float(section.s(x))
+        return float(_SECTION.s(x))
 
     ev.terminal = False
-    ev.direction = section.direction
+    ev.direction = _SECTION.direction
     res = _run_solver(lambda t, x: model.f(x), x_start,
                       (0.0, period), ivp_tol, events=[ev])
-    out = [(float(x[0]), float(x[1]) if len(x) > 1 else 0.0, float(t))
+    out = [(float(x[0]), float(x[1]), float(t))
            for t, x in zip(res.t_events[0], res.y_events[0])
            if 1e-9 < t < period - 1e-9]
-    out.append((float(x_start[0]), float(x_start[1]) if len(x_start) > 1 else 0.0, 0.0))
+    out.append((float(x_start[0]), float(x_start[1]), 0.0))
     return out
 
 

@@ -112,31 +112,34 @@ def _strobe_times(spec: NetworkSpec, t_sim: Optional[float],
     return strobe_period * np.arange(n + 1), omega_ref
 
 
-def _slow_phase(spec: NetworkSpec, traj: NetworkTrajectory, pair, weights):
+def _slow_phase(spec: NetworkSpec, traj: NetworkTrajectory, weights):
     phases = network_phases(spec, traj)
-    return weights[0] * phases[:, pair[0]] + weights[1] * phases[:, pair[1]]
+    return weights[0] * phases[:, 0] + weights[1] * phases[:, 1]
+
+
+_LOCK_TOL = (1e-7, 1e-9)   # (rtol, atol) of the locking runs by default
 
 
 def lock_psi_series(spec: NetworkSpec, t_sim: Optional[float] = None,
-                    theta0=None, pair=(0, 1), weights=(-1.0, 1.0),
-                    strobe_period: Optional[float] = None,
-                    tol=(1e-7, 1e-9)):
-    """Stroboscopic slow-phase series for a coupled network.
+                    weights=(-1.0, 1.0),
+                    strobe_period: Optional[float] = None):
+    """Stroboscopic slow-phase series of nodes 0 and 1 of a coupled network.
 
+    Runs the network from phase zero on every node cycle, at `_LOCK_TOL`.
     Samples once per strobe_period (default: one rotation of the slowest
     node, so every node phase advances by a near-integer number of turns
     between samples) and returns (times, psi, omega_ref) with
 
-        psi = weights[0] * theta_{pair[0]} + weights[1] * theta_{pair[1]}
+        psi = weights[0] * theta_0 + weights[1] * theta_1
 
     on the unwrapped node phases.  The default weights give the plain phase
     difference; integer weights like (-2, 1) track a p:q resonance
     combination instead.
     """
     t_eval, omega_ref = _strobe_times(spec, t_sim, strobe_period)
-    traj = simulate_full(spec, (0.0, float(t_eval[-1])), theta0=theta0,
-                         t_eval=t_eval, tol=tol)
-    return t_eval, _slow_phase(spec, traj, pair, weights), omega_ref
+    traj = simulate_full(spec, (0.0, float(t_eval[-1])), t_eval=t_eval,
+                         tol=_LOCK_TOL)
+    return t_eval, _slow_phase(spec, traj, weights), omega_ref
 
 
 class CouplingRangeError(RuntimeError):
@@ -162,6 +165,7 @@ class CriticalCouplingResult:
 # Most members one stacked integration carries.  A bisection tree larger than
 # this is integrated in rounds, so memory stays bounded for any rel_width.
 STACK_CAP = 32
+_MAX_BISECTIONS = 60   # most steps critical_coupling bisects
 
 
 def _bisection_tree(lo: float, hi: float, rel_width: float, depth: int):
@@ -185,20 +189,21 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
                       eps_lo: float, eps_hi: float,
                       rel_width: float = 0.05,
                       t_sim: Optional[float] = None,
-                      transient_frac: float = 0.5,
-                      theta0=None,
                       weights=(-1.0, 1.0),
                       strobe_period: Optional[float] = None,
-                      tol=(1e-7, 1e-9),
-                      threshold: Optional[float] = None,
-                      max_iter: int = 60) -> CriticalCouplingResult:
+                      tol=_LOCK_TOL,
+                      threshold: Optional[float] = None) -> CriticalCouplingResult:
     """Bisect the smallest coupling strength that phase-locks a network.
 
     spec_factory(eps) builds the network at coupling strength eps; it may
-    vary nothing but epsilon.  The endpoints must straddle the transition: a
-    locked lower endpoint raises CouplingRangeError(side="below"), an
-    unlocked upper endpoint side="above".  Bisection stops when the bracket
-    is narrower than rel_width relative to its midpoint.
+    vary nothing but epsilon.  Every run starts from phase zero on the node
+    cycles, and its verdict is `sync_measure`, with its default transient,
+    on the slow phase of nodes 0 and 1 as `lock_psi_series` forms it.  The
+    endpoints must straddle the transition: a locked lower endpoint raises
+    CouplingRangeError(side="below"), an unlocked upper endpoint
+    side="above".  Bisection stops when the bracket is narrower than
+    rel_width relative to its midpoint, or after `_MAX_BISECTIONS` = 60
+    steps.
 
     The runs are integrated speculatively.  Because the stopping rule
     depends only on the bracket, the endpoints and every midpoint the
@@ -222,7 +227,7 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
         # members share a strobe, so each grid is a prefix of the longest
         t_eval = max((g[0] for g in grids), key=len)
         trajs = simulate_ensemble(specs, (0.0, float(t_eval[-1])),
-                                  theta0=theta0, t_eval=t_eval, tol=tol)
+                                  t_eval=t_eval, tol=tol)
         for eps, spec, (times, omega_ref), traj in zip(members, specs, grids,
                                                        trajs):
             m = len(times)
@@ -231,14 +236,15 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
 
     def classify(eps: float) -> SyncReport:
         spec, times, omega_ref, traj = runs.pop(eps)
-        psi = _slow_phase(spec, traj, (0, 1), weights)
-        rep = sync_measure(times, psi, transient_frac=transient_frac,
-                           natural_freq=omega_ref, threshold=threshold)
+        psi = _slow_phase(spec, traj, weights)
+        rep = sync_measure(times, psi, natural_freq=omega_ref,
+                           threshold=threshold)
         reports[eps] = rep
         return rep
 
     integrate([eps_lo, eps_hi] + list(islice(
-        _bisection_tree(eps_lo, eps_hi, rel_width, max_iter), STACK_CAP - 2)))
+        _bisection_tree(eps_lo, eps_hi, rel_width, _MAX_BISECTIONS),
+        STACK_CAP - 2)))
     if classify(eps_lo).locked:
         raise CouplingRangeError(
             f"already locked at the lower end eps = {eps_lo:g}; "
@@ -249,13 +255,13 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
             "the transition lies above the scanned range", side="above")
 
     lo, hi = eps_lo, eps_hi
-    for step in range(max_iter):
+    for step in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if (hi - lo) / mid <= rel_width:
             break
         if mid not in runs:
             integrate(list(islice(
-                _bisection_tree(lo, hi, rel_width, max_iter - step),
+                _bisection_tree(lo, hi, rel_width, _MAX_BISECTIONS - step),
                 STACK_CAP)))
         if classify(mid).locked:
             hi = mid

@@ -39,9 +39,8 @@ import numpy as np
 
 from .models import TWO_PI, OscillatorModel, make_model, wrap_phase
 from ._parallel import pmap
-from .ode import _run_solver
-from .cycles import (LimitCycle, _default_guess, _default_section,
-                     find_limit_cycle)
+from .ode import DEFAULT_TOL, _run_solver
+from .cycles import LimitCycle, _default_guess, find_limit_cycle
 from .phase import asymptotic_phase, phase_sensitivity
 from .reduction import CouplingFunction, mean_value
 
@@ -211,13 +210,14 @@ class NetworkSpec:
         """Limit cycle per node (cached; equal built-in models share one)."""
         if self._cycles is None:
             _fill_cycle_cache(self.models)
-            self._cycles = [_CYCLE_CACHE[_cycle_cache_key(mdl)]
+            self._cycles = [_CYCLE_CACHE[_cycle_cache_key(mdl)][1]
                             for mdl in self.models]
         return self._cycles
 
 
-# Built-in models are value-identified so repeated sweep factories reuse
-# cycles; custom models fall back to object identity.
+# key -> (model, cycle).  Built-in models are value-identified so repeated
+# sweep factories reuse cycles; custom models fall back to object identity,
+# and the entry holds the model so that its id is not reused while cached.
 _CYCLE_CACHE: dict = {}
 
 
@@ -227,14 +227,13 @@ def _cycle_cache_key(model: OscillatorModel):
     return (model.name, tuple(sorted(model.params.items())))
 
 
-def _shoot(model: OscillatorModel) -> tuple:
-    """(period, grid, points, anchor, floquet) of a network node's cycle."""
+def _shoot(model: OscillatorModel) -> LimitCycle:
+    """The limit cycle of a network node."""
     # edge averages inherit the cycle's radial error as an uncancelled
     # Fourier mode, so network cycles are held well below the 1e-12
     # budget of the vanishing-coupling checks
-    cycle = find_limit_cycle(model, _default_guess(model), tol=1e-12,
-                             ivp_tol=(1e-12, 1e-14))
-    return cycle.period, cycle.grid, cycle.points, cycle.anchor, cycle.floquet
+    return find_limit_cycle(model, _default_guess(model), tol=1e-12,
+                            ivp_tol=(1e-12, 1e-14))
 
 
 def _fill_cycle_cache(models) -> None:
@@ -244,11 +243,8 @@ def _fill_cycle_cache(models) -> None:
         key = _cycle_cache_key(model)
         if key not in _CYCLE_CACHE:
             todo.setdefault(key, model)
-    for (key, model), (period, grid, points, anchor, floquet) in zip(
-            todo.items(), pmap(_shoot, todo.values())):
-        _CYCLE_CACHE[key] = LimitCycle(
-            model=model, period=period, grid=grid, points=points,
-            anchor=anchor, floquet=floquet, section=_default_section())
+    for (key, model), cycle in zip(todo.items(), pmap(_shoot, todo.values())):
+        _CYCLE_CACHE[key] = (model, cycle)
 
 
 def _prescribed(spec: NetworkSpec, i: int) -> Optional[Callable]:
@@ -303,7 +299,6 @@ class PhaseModel:
     epsilon: float
     edges: dict                       # (i, j) -> CouplingFunction qbar_ij
     a_eff: np.ndarray                 # adjacency reduced to constants
-    cycles: list
     prescribed: bool = False
 
     def max_coupling_scale(self) -> float:
@@ -313,23 +308,23 @@ class PhaseModel:
         return best
 
 
-def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
-                      adjacency_mean_tol: float = 1e-6) -> PhaseModel:
+_ADJACENCY_MEAN_TOL = 1e-6   # of each time-varying adjacency entry's mean
+
+
+def build_phase_model(spec: NetworkSpec) -> PhaseModel:
     """Average the network into its phase model.
 
     Edge functions are computed as the circular correlation of the node
-    sensitivity with the coupling term around the cycles: with both cycles on
-    one uniform M-grid the phase shift is an index roll, so the average is a
-    plain circulant sum, exact for band-limited integrands.  The adjoints
-    of the distinct node cycles are computed in worker processes.
-    Time-varying adjacency entries are reduced to constants with
-    `mean_value`, once per distinct (a_ij, b_ij, c_ij).
+    sensitivity with the coupling term around the cycles: every node cycle
+    is shot on the same uniform 256-point grid, so the phase shift is an
+    index roll and the average is a plain circulant sum, exact for
+    band-limited integrands.  The adjoints of the distinct node cycles are
+    computed in worker processes.  Time-varying adjacency entries are
+    reduced to constants with `mean_value` to `_ADJACENCY_MEAN_TOL` = 1e-6,
+    once per distinct (a_ij, b_ij, c_ij).
     """
     cycles = spec.cycles()
     n = spec.n_nodes
-    m = grid_size or cycles[0].grid_size
-    if any(c.grid_size != m for c in cycles):
-        raise ValueError("all node cycles must share one grid size")
     omega = np.array([c.omega0 for c in cycles])
     h = spec.coupling_fn()
 
@@ -364,7 +359,7 @@ def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
                         return out
 
                     means[triple] = mean_value(entry, t_max=6e7,
-                                               tol=adjacency_mean_tol,
+                                               tol=_ADJACENCY_MEAN_TOL,
                                                panel=2.0)
                 a_eff[i, j] = means[triple]
 
@@ -385,8 +380,7 @@ def build_phase_model(spec: NetworkSpec, grid_size: Optional[int] = None,
                 provenance="periodic_average")
 
     model = PhaseModel(n_nodes=n, Omega=omega, epsilon=spec.epsilon,
-                       edges=edges, a_eff=a_eff, cycles=cycles,
-                       prescribed=prescribed_any)
+                       edges=edges, a_eff=a_eff, prescribed=prescribed_any)
     detuning = float(omega.max() - omega.min()) if n > 1 else 0.0
     scale = spec.epsilon * model.max_coupling_scale()
     if detuning > 10.0 * scale > 0.0:
@@ -428,16 +422,16 @@ def _same_network(p: NetworkSpec, q: NetworkSpec) -> bool:
 
 
 def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
-                      t_eval=None, tol=(1e-9, 1e-11),
-                      x0=None) -> list:
+                      t_eval=None, tol=(1e-9, 1e-11)) -> list:
     """Integrate K copies of one network, differing only in epsilon, at once.
 
     The members are stacked into one (K, N, dim) state and handed to the
     solver as a single system: every node model is evaluated once per RHS
     call across the K axis, and the coupling operator once on the whole
     stack, scaled by a (K, 1, 1) epsilon.  All members start from the same
-    state (node cycles at phases theta0, or the raw (N, dim) states x0) and
-    are sampled at the same times.  Returns one NetworkTrajectory per spec, in order.
+    state, the node cycles at phases theta0 (zeros unless given), and are
+    sampled at the same times.  Returns one NetworkTrajectory per spec, in
+    order.
 
     The solver accepts a step when the RMS of the scaled error over all
     K*N*dim components is at most 1, which dilutes one member's error as K
@@ -459,12 +453,9 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
     if len(set(dims)) != 1:
         raise ValueError("mixed state dimensions are not supported")
     dim = dims[0]
-    if x0 is None:
-        cycles = spec.cycles()
-        theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
-        x0 = np.stack([cycles[i].gamma_at(float(theta0[i])) for i in range(n)])
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(n, dim)
+    cycles = spec.cycles()
+    theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
+    x0 = np.stack([cycles[i].gamma_at(float(theta0[i])) for i in range(n)])
     fields = [m.f_batch for m in spec.models]
     coupling = spec.coupling_operator()
     static = spec.has_static_adjacency()
@@ -488,26 +479,27 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
             for j in range(k)]
 
 
-def simulate_full(spec: NetworkSpec, t_span, theta0=None, x0=None,
+def simulate_full(spec: NetworkSpec, t_span, theta0=None,
                   t_eval=None, tol=(1e-9, 1e-11)) -> NetworkTrajectory:
     """Integrate the coupled network.
 
-    Default initial conditions sit on the node cycles at phases theta0
-    (zeros unless given); x0 overrides them with raw states (N, dim).  This
-    is the one-member ensemble of `simulate_ensemble`, whose sqrt(K)
+    The nodes start on their cycles at phases theta0 (zeros unless given).
+    This is the one-member ensemble of `simulate_ensemble`, whose sqrt(K)
     tolerance rule leaves tol unchanged at K = 1, so solo and stacked runs
     share one integration path.
     """
     return simulate_ensemble([spec], t_span, theta0=theta0, t_eval=t_eval,
-                             tol=tol, x0=x0)[0]
+                             tol=tol)[0]
 
 
-def simulate_phase_model(pm: PhaseModel, theta0, t_span, t_eval=None,
-                         tol=(1e-9, 1e-11)) -> NetworkTrajectory:
-    """Integrate the reduced phase equations; phases returned unwrapped."""
+def simulate_phase_model(pm: PhaseModel, theta0, t_span,
+                         t_eval=None) -> NetworkTrajectory:
+    """Integrate the reduced phase equations at `DEFAULT_TOL`; phases
+    returned unwrapped."""
     theta0 = np.asarray(theta0, dtype=float)
     res = _run_solver(_phase_rhs(pm), theta0,
-                      (float(t_span[0]), float(t_span[1])), tol, t_eval=t_eval)
+                      (float(t_span[0]), float(t_span[1])), DEFAULT_TOL,
+                      t_eval=t_eval)
     return NetworkTrajectory(times=res.t.copy(), states=res.y.T[:, :, None],
                              phases=res.y.T.copy())
 
@@ -533,9 +525,9 @@ def _phase_rhs(pm: PhaseModel):
     return rhs
 
 
-def network_phases(spec: NetworkSpec, traj: NetworkTrajectory,
-                   unwrap: bool = True) -> np.ndarray:
-    """Asymptotic phase of every node at every sample of a full trajectory.
+def network_phases(spec: NetworkSpec, traj: NetworkTrajectory) -> np.ndarray:
+    """Asymptotic phase of every node at every sample of a full trajectory,
+    unwrapped along the samples.
 
     Uses the per-node closed-form phase map when the model carries one,
     otherwise settles the states numerically (batched per node, the nodes
@@ -555,9 +547,7 @@ def network_phases(spec: NetworkSpec, traj: NetworkTrajectory,
                                               traj.states[:, i, :]), numeric)
     for i, phases in zip(numeric, settled):
         out[:, i] = phases
-    if unwrap:
-        out = np.unwrap(out, axis=0)
-    return out
+    return np.unwrap(out, axis=0)
 
 
 @dataclass
@@ -573,9 +563,7 @@ class ComparisonReport:
 
 
 def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
-                            theta0=None, n_samples: int = 200,
-                            pm: Optional[PhaseModel] = None,
-                            tol=(1e-9, 1e-11)) -> ComparisonReport:
+                            theta0=None, n_samples: int = 200) -> ComparisonReport:
     """Run the full network and its phase model side by side.
 
     The horizon is horizon_mult / epsilon (one averaging time by default;
@@ -583,11 +571,11 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
     be positive.  The full run's phases are aligned to the reduced run's
     initial condition, and errors are circular distances per node and sample.
 
-    Without pm, the node cycles are shot first; then the phase-model build
-    and the full run with its node phases run as two branches in worker
-    processes, each branch serial inside its worker.  The build comes
-    first, so its errors and warnings keep their serial order.  With pm
-    given, only the full run and its phases are computed.
+    The node cycles are shot first; then the phase-model build and the
+    full run (`simulate_full` at its default tol) with its node phases run
+    as two branches in worker processes, each branch serial inside its
+    worker.  The build comes first, so its errors and warnings keep their
+    serial order.
     """
     if not horizon_mult > 0.0:
         raise ValueError(f"horizon_mult must be positive, got {horizon_mult!r}")
@@ -597,23 +585,14 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
     horizon = horizon_mult / eps if eps > 0.0 else horizon_mult
     t_eval = np.linspace(0.0, horizon, n_samples)
 
-    def reduced():
-        model = build_phase_model(spec)
-        model.cycles = None     # cycles hold closures, which do not pickle
-        return model
-
     def full_phases():
         full = simulate_full(spec, (0.0, horizon), theta0=theta0,
-                             t_eval=t_eval, tol=tol)
+                             t_eval=t_eval)
         return network_phases(spec, full)
 
-    if pm is None:
-        # shoot here, so both branches inherit the cycles through fork
-        cycles = spec.cycles()
-        pm, th_full = pmap(lambda branch: branch(), [reduced, full_phases])
-        pm.cycles = cycles
-    else:
-        th_full = full_phases()
+    spec.cycles()   # shoot here, so both branches inherit the cycles by fork
+    pm, th_full = pmap(lambda branch: branch(),
+                       [lambda: build_phase_model(spec), full_phases])
     # Align branch: unwrapped full phases start at theta0 modulo 2*pi.
     th_full += np.round((theta0 - th_full[0]) / TWO_PI) * TWO_PI
     red = simulate_phase_model(pm, theta0, (0.0, horizon), t_eval=t_eval)
@@ -665,7 +644,7 @@ SUBHARMONIC_WEIGHTS = (-2.0, 1.0)
 def get_cycle(model: OscillatorModel) -> LimitCycle:
     """Limit cycle of a single model, via the shared network cycle cache."""
     _fill_cycle_cache([model])
-    return _CYCLE_CACHE[_cycle_cache_key(model)]
+    return _CYCLE_CACHE[_cycle_cache_key(model)][1]
 
 
 def subharmonic_pair(d_omega: float, epsilon: float, mu: float = 1.0,

@@ -8,7 +8,7 @@ both (`_solver_tol`), and an rtol whose tenth is under scipy's floor of
 through the helpers here, so method, tolerances and errors stay in one
 place.  Each entry point keeps only what its callers read:
 
-- `integrate` keeps every step, or the `t_eval` samples (`Trajectory`);
+- `integrate` keeps every step (`Trajectory`);
 - `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
   (the basin guard, the section) located on the step's interpolant;
 - `flow_batch` (and the whole-period runs of the adjoint stage and of the
@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_TOL = (1e-9, 1e-11)
 
 _METHOD = DOP853   # the one integration method
+_T_GUARD = 1e-3    # find_crossing's head start from a point on the section
 
 
 def _solver_tol(tol):
@@ -56,6 +57,15 @@ def _solver_tol(tol):
         raise ValueError(f"rtol {tol[0]:g} would run the solver at {rtol:g}, "
                          f"below scipy's floor 100*eps = {floor:.3g}")
     return rtol, 0.1 * tol[1]
+
+
+def _finite_span(t_span):
+    """(t0, t1) as floats.  A bound that is not finite is a ValueError: the
+    solver would step toward it without end, keeping every step."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"time span ({t0:g}, {t1:g}) must be finite")
+    return t0, t1
 
 
 class IntegrationError(RuntimeError):
@@ -88,7 +98,7 @@ class Section:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: every solver step, or the requested t_eval samples.
+    """Sampled solution: every solver step.
 
     times are strictly monotone (increasing for forward runs).
     """
@@ -119,8 +129,8 @@ def _basin_events(model: Optional[OscillatorModel]):
 def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
                 max_step=np.inf):
     rtol, atol = _solver_tol(tol)
-    res = solve_ivp(rhs, t_span, np.asarray(x0, dtype=float), method=_METHOD,
-                    rtol=rtol, atol=atol, t_eval=t_eval,
+    res = solve_ivp(rhs, _finite_span(t_span), np.asarray(x0, dtype=float),
+                    method=_METHOD, rtol=rtol, atol=atol, t_eval=t_eval,
                     events=events if events else None, max_step=max_step)
     if res.status == -1:
         raise IntegrationError(f"integration failed: {res.message}")
@@ -141,8 +151,9 @@ def _endpoint(rhs, x0, t_span, tol, escape=None):
     `g(y)`, since events never change the steps.
     """
     rtol, atol = _solver_tol(tol)
-    solver = _METHOD(rhs, float(t_span[0]), np.asarray(x0, dtype=float),
-                     float(t_span[1]), rtol=rtol, atol=atol, max_step=np.inf)
+    t0, t1 = _finite_span(t_span)
+    solver = _METHOD(rhs, t0, np.asarray(x0, dtype=float), t1,
+                     rtol=rtol, atol=atol, max_step=np.inf)
     g = None if escape is None else escape(solver.y)
     while solver.status == "running":
         message = solver.step()
@@ -156,9 +167,9 @@ def _endpoint(rhs, x0, t_span, tol, escape=None):
     return solver.y.copy()
 
 
-def integrate(system, x0, t_span, tol=DEFAULT_TOL, t_eval=None,
+def integrate(system, x0, t_span, tol=DEFAULT_TOL,
               max_step=np.inf) -> Trajectory:
-    """Integrate dx/dt = f(x) (or rhs(t, x)) over t_span.
+    """Integrate dx/dt = f(x) (or rhs(t, x)) over t_span, keeping every step.
 
     system: OscillatorModel or a callable rhs(t, x).  For models with a basin
     guard, a trajectory entering the excluded ball raises PhaselessStateError.
@@ -170,8 +181,8 @@ def integrate(system, x0, t_span, tol=DEFAULT_TOL, t_eval=None,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:
         return Trajectory(times=np.array([t0]), states=x0[None, :].copy())
-    res = _run_solver(rhs, x0, (t0, t1), tol, t_eval=t_eval,
-                      events=_basin_events(model), max_step=max_step)
+    res = _run_solver(rhs, x0, (t0, t1), tol, events=_basin_events(model),
+                      max_step=max_step)
     if res.status == 1:  # terminated by the basin event
         raise PhaselessStateError(
             f"trajectory entered the phaseless neighborhood at t = {res.t[-1]:.6g}"
@@ -216,16 +227,15 @@ def flow_batch(model: OscillatorModel, X0, t, tol=DEFAULT_TOL):
     return _endpoint(rhs, X0.reshape(-1), (0.0, float(t)), tol).reshape(k, dim)
 
 
-def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL,
-                  t_guard: float = 1e-3):
+def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL):
     """First t in (0, t_max] with s(x(t)) = 0 crossed in the section direction.
 
     Returns (t_star, x_star).  The crossing time is refined on the crossing
     step's interpolant to root-finder precision; a crossing where the field
     is nearly tangent to the section is rejected.  A start point sitting on
-    the section is flowed for t_guard before event detection so the trivial
-    t = 0 root is skipped; crossings inside (0, t_guard) are therefore not
-    resolvable from an on-section start.
+    the section is flowed for `_T_GUARD` = 1e-3 before event detection so
+    the trivial t = 0 root is skipped; crossings inside (0, 1e-3) are
+    therefore not resolvable from an on-section start.
     """
     rhs, model = _as_rhs(system)
     x0 = np.asarray(x0, dtype=float)
@@ -235,8 +245,8 @@ def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL,
     t_offset = 0.0
     scale = max(1.0, float(np.linalg.norm(x0)))
     if abs(float(section.s(x0))) < 1e-9 * scale:
-        x0 = _endpoint(rhs, x0, (0.0, t_guard), tol)
-        t_offset = t_guard
+        x0 = _endpoint(rhs, x0, (0.0, _T_GUARD), tol)
+        t_offset = _T_GUARD
 
     def ev(t, x):
         return float(section.s(x))

@@ -38,6 +38,11 @@ __all__ = [
 # Integration tolerance for phase geometry; loose tolerances here leak straight
 # into every downstream phase estimate.
 _GEOM_TOL = (1e-11, 1e-13)
+_SETTLED_DIST = 1e-9   # asymptotic_phase's distance from the cycle when done
+# The backward adjoint iteration stops when one period changes it by less
+# than this, relative, and fails after this many periods.
+_ADJOINT_PERIODIC_TOL = 1e-8
+_ADJOINT_MAX_PERIODS = 25
 
 
 class PhaseConvergenceError(RuntimeError):
@@ -53,14 +58,14 @@ def _settle_budget(cycle: LimitCycle) -> int:
     return int(max(10, np.ceil(12.0 / lam)))
 
 
-def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x,
-                     dist_tol: float = 1e-9, ivp_tol=_GEOM_TOL):
+def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
     """Asymptotic phase theta in [0, 2*pi) of one state or a stack of states.
 
     x may be (dim,) or (K, dim); the stack is settled in one batched
-    integration.  States inside the excluded phaseless neighborhood are
-    rejected; states that fail to approach the cycle within the settle budget
-    raise PhaseConvergenceError.
+    integration at `_GEOM_TOL`, whole periods at a time, until each state
+    projects within `_SETTLED_DIST` = 1e-9 of the cycle.  States inside the
+    excluded phaseless neighborhood are rejected; states that fail to
+    approach the cycle within the settle budget raise PhaseConvergenceError.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -70,17 +75,17 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x,
     theta, dist = cycle.project(pts)
     theta = np.atleast_1d(theta)
     dist = np.atleast_1d(dist)
-    done = dist < dist_tol
+    done = dist < _SETTLED_DIST
     budget = _settle_budget(cycle)
     for _ in range(budget):
         if np.all(done):
             break
         active = ~done
-        pts[active] = flow_batch(model, pts[active], cycle.period, ivp_tol)
+        pts[active] = flow_batch(model, pts[active], cycle.period, _GEOM_TOL)
         th_a, d_a = cycle.project(pts[active])
         theta[active] = np.atleast_1d(th_a)
         dist[active] = np.atleast_1d(d_a)
-        done = dist < dist_tol
+        done = dist < _SETTLED_DIST
     if not np.all(done):
         worst = float(dist.max())
         raise PhaseConvergenceError(
@@ -96,7 +101,6 @@ class Isochron:
 
     theta: float
     points: np.ndarray          # (n, dim), ordered along the curve
-    extent: tuple               # (min, max) norm of the stored points
     phase_residual: float = 0.0  # max |phase(point) - theta| over checked points
 
 
@@ -107,7 +111,6 @@ class PhaseSensitivity:
     grid: np.ndarray            # phases theta_k
     values: np.ndarray          # (M, dim) gradient at gamma(theta_k)
     omega0: float
-    method: str
     _interp: PeriodicInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,8 +134,7 @@ def _isochron_tangent(cycle: LimitCycle, sens: PhaseSensitivity, theta: float):
 
 def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
                      radial_range=(0.3, 2.0), n_points: int = 100,
-                     sens: Optional[PhaseSensitivity] = None,
-                     validate: bool = True) -> Isochron:
+                     sens: Optional[PhaseSensitivity] = None) -> Isochron:
     """Sample the isochron of phase theta across the given range of |x|.
 
     Planar models only.  Points within ~1e-4 of the cycle come from direct
@@ -142,7 +144,8 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     the achieved radii land on the requested grid; the inner and outer sides
     are mapped in two worker processes.  The cycle point gamma(theta)
     is always included and points are ordered by radius.  n_points must be
-    at least 1.
+    at least 1.  Every point's asymptotic phase is then checked: the largest
+    error is phase_residual, and one of 1e-4 or more raises IsochronError.
     """
     if model.dim != 2:
         raise IsochronError("isochron sampling implemented for planar models")
@@ -158,8 +161,7 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
             f"requested radius {r_lo:g} reaches into the phaseless neighborhood"
         )
     if r_lo == r_hi and abs(r_lo - np.linalg.norm(g0)) < 1e-12:
-        return Isochron(theta=theta, points=g0[None, :].copy(),
-                        extent=(r_lo, r_hi))
+        return Isochron(theta=theta, points=g0[None, :].copy())
     if sens is None:
         sens = phase_sensitivity(model, cycle, method="adjoint")
     w = _isochron_tangent(cycle, sens, theta)
@@ -187,23 +189,15 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
         pts[sel] = side_pts
 
     pts = np.vstack([pts, g0[None, :]])
-    radii = np.linalg.norm(pts, axis=1)
-    order = np.argsort(radii)
-    pts = pts[order]
-    radii = radii[order]
+    pts = pts[np.argsort(np.linalg.norm(pts, axis=1))]
 
-    residual = 0.0
-    if validate:
-        phases = asymptotic_phase(model, cycle, pts)
-        diff = np.abs(_circ_diff(phases, theta))
-        residual = float(diff.max())
-        if residual >= 1e-4:
-            raise IsochronError(
-                f"isochron validation failed: max phase error {residual:.2e}"
-            )
-    return Isochron(theta=theta, points=pts,
-                    extent=(float(radii.min()), float(radii.max())),
-                    phase_residual=residual)
+    phases = asymptotic_phase(model, cycle, pts)
+    residual = float(np.abs(_circ_diff(phases, theta)).max())
+    if residual >= 1e-4:
+        raise IsochronError(
+            f"isochron validation failed: max phase error {residual:.2e}"
+        )
+    return Isochron(theta=theta, points=pts, phase_residual=residual)
 
 
 def _probe_backward(model, cycle, x0, n_periods, r_cap):
@@ -336,25 +330,25 @@ def _circ_diff(a, b):
 
 
 def phase_sensitivity(model: OscillatorModel, cycle: LimitCycle,
-                      method: str = "adjoint",
-                      periodic_tol: float = 1e-8,
-                      max_periods: int = 25) -> PhaseSensitivity:
+                      method: str = "adjoint") -> PhaseSensitivity:
     """Phase response curve Z(theta) on the cycle grid, normalized so that
     Z . f = omega0 at every node.
 
     method="adjoint" integrates the adjoint variational equation backward in
-    time until the solution is periodic to periodic_tol, then rescales each
-    node.  method="finite_difference" perturbs each grid point by
-    h = 1e-5 * scale in every coordinate and differences the asymptotic phase.
+    time until the solution is periodic to `_ADJOINT_PERIODIC_TOL` = 1e-8
+    (PhaseConvergenceError after `_ADJOINT_MAX_PERIODS` = 25 periods), then
+    rescales each node.  method="finite_difference" perturbs each grid point
+    by h = 1e-5 * scale in every coordinate and differences the asymptotic
+    phase.
     """
     if method == "adjoint":
-        return _prc_adjoint(model, cycle, periodic_tol, max_periods)
+        return _prc_adjoint(model, cycle)
     if method == "finite_difference":
         return _prc_finite_difference(model, cycle)
     raise ValueError(f"unknown phase sensitivity method {method!r}")
 
 
-def _prc_adjoint(model, cycle, periodic_tol, max_periods):
+def _prc_adjoint(model, cycle):
     jac = _jacobian_fn(model)
     omega0 = cycle.omega0
     t_period = cycle.period
@@ -367,17 +361,18 @@ def _prc_adjoint(model, cycle, periodic_tol, max_periods):
     f0 = np.asarray(model.f(cycle.anchor), dtype=float)
     w = omega0 * f0 / float(f0 @ f0)
     converged = False
-    for _ in range(max_periods):
+    for _ in range(_ADJOINT_MAX_PERIODS):
         w_next = _endpoint(rhs, w, (0.0, t_period), _GEOM_TOL)
-        if np.linalg.norm(w_next - w) <= periodic_tol * np.linalg.norm(w_next):
+        if np.linalg.norm(w_next - w) <= (_ADJOINT_PERIODIC_TOL
+                                          * np.linalg.norm(w_next)):
             w = w_next
             converged = True
             break
         w = w_next
     if not converged:
         raise PhaseConvergenceError(
-            f"adjoint iteration not periodic to {periodic_tol:g} within "
-            f"{max_periods} periods"
+            f"adjoint iteration not periodic to {_ADJOINT_PERIODIC_TOL:g} "
+            f"within {_ADJOINT_MAX_PERIODS} periods"
         )
 
     # One more backward period, sampled so node k carries phase theta_k.
@@ -389,7 +384,7 @@ def _prc_adjoint(model, cycle, periodic_tol, max_periods):
     values[order] = res.y.T
     # theta_0 sample sits at s = T; the converged w is that sample.
     values[0] = w
-    return _normalized_sensitivity(model, cycle, values, "adjoint")
+    return _normalized_sensitivity(model, cycle, values)
 
 
 def _prc_finite_difference(model, cycle):
@@ -411,14 +406,14 @@ def _prc_finite_difference(model, cycle):
         plus = phases[2 * i * m:(2 * i + 1) * m]
         minus = phases[(2 * i + 1) * m:(2 * i + 2) * m]
         values[:, i] = _circ_diff(plus, minus) / (2.0 * h)
-    return _normalized_sensitivity(model, cycle, values, "finite_difference")
+    return _normalized_sensitivity(model, cycle, values)
 
 
-def _normalized_sensitivity(model, cycle, values, method):
+def _normalized_sensitivity(model, cycle, values):
     f_nodes = model.f_batch(cycle.points)
     dot = np.sum(values * f_nodes, axis=1)
     if np.any(np.abs(dot) < 1e-12):
         raise PhaseConvergenceError("degenerate sensitivity: Z . f vanished")
     values = values * (cycle.omega0 / dot)[:, None]
     return PhaseSensitivity(grid=cycle.grid.copy(), values=values,
-                            omega0=cycle.omega0, method=method)
+                            omega0=cycle.omega0)

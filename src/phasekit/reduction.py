@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,6 +42,9 @@ __all__ = [
     "lock_analysis",
     "forced_rhs",
 ]
+
+
+_PHASE_SIM_TOL = (1e-10, 1e-12)   # of simulate_reduced and simulate_averaged
 
 
 class MeanValueError(RuntimeError):
@@ -113,8 +116,8 @@ class ReducedTrajectory:
 
 def simulate_reduced(sens: PhaseSensitivity, cycle: LimitCycle,
                      pert: Perturbation, theta0: float, t_span,
-                     t_eval=None, tol=(1e-10, 1e-12)) -> ReducedTrajectory:
-    """Integrate the scalar reduced phase equation.
+                     t_eval=None) -> ReducedTrajectory:
+    """Integrate the scalar reduced phase equation at `_PHASE_SIM_TOL`.
 
     d theta / dt = omega0 + eps * Z(theta) . p(gamma(theta), t) with
     eps = pert.amplitude.  Accuracy of the first-order reduction degrades
@@ -132,21 +135,23 @@ def simulate_reduced(sens: PhaseSensitivity, cycle: LimitCycle,
                                                              y[0], t)])
 
     res = _run_solver(rhs, np.array([float(theta0)]),
-                      (float(t_span[0]), float(t_span[1])), tol, t_eval=t_eval)
+                      (float(t_span[0]), float(t_span[1])), _PHASE_SIM_TOL,
+                      t_eval=t_eval)
     return ReducedTrajectory(times=res.t.copy(), theta=res.y[0].copy())
 
 
 def simulate_averaged(coupling: CouplingFunction, delta: float, eps: float,
-                      psi0: float, t_span, t_eval=None,
-                      tol=(1e-10, 1e-12)) -> ReducedTrajectory:
+                      psi0: float, t_span, t_eval=None) -> ReducedTrajectory:
     """Integrate the averaged slow-phase equation
-    d psi / dt = delta - eps * Gamma_bar(psi) (drag convention)."""
+    d psi / dt = delta - eps * Gamma_bar(psi) (drag convention), at
+    `_PHASE_SIM_TOL`."""
 
     def rhs(t, y):
         return np.array([delta - eps * float(coupling(y[0]))])
 
     res = _run_solver(rhs, np.array([float(psi0)]),
-                      (float(t_span[0]), float(t_span[1])), tol, t_eval=t_eval)
+                      (float(t_span[0]), float(t_span[1])), _PHASE_SIM_TOL,
+                      t_eval=t_eval)
     return ReducedTrajectory(times=res.t.copy(), theta=res.y[0].copy())
 
 
@@ -156,10 +161,9 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
-                     pert: Perturbation, omega_force: float,
-                     grid_size: Optional[int] = None) -> CouplingFunction:
+                     pert: Perturbation, omega_force: float) -> CouplingFunction:
     """Average the instantaneous forcing over time in the frame rotating at
-    omega_force.
+    omega_force, on the cycle's phase grid.
 
     Gamma_bar(psi) = -(1/T) integral of Z(psi + Omega t) . p(gamma(psi +
     Omega t), t) dt, the drag form of the averaged slow-phase equation (see
@@ -171,7 +175,7 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
     omega = float(omega_force)
     if omega <= 0.0:
         raise ValueError("omega_force must be positive")
-    m = grid_size or cycle.grid_size
+    m = cycle.grid_size
     psi = TWO_PI * np.arange(m) / m
     t_frame = TWO_PI / omega
 
@@ -209,11 +213,11 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
                             provenance="mean_value")
 
 
-def _gl_panel_nodes(a: float, b: float, panel: float, order: int = 16):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+def _gl_panel_nodes(a: float, b: float, panel: float):
+    """Composite 16-point Gauss-Legendre nodes and weights on [a, b]."""
     n_panels = max(1, int(np.ceil((b - a) / panel)))
     edges = np.linspace(a, b, n_panels + 1)
-    xi, wgt = np.polynomial.legendre.leggauss(order)
+    xi, wgt = np.polynomial.legendre.leggauss(16)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     t = (mid[:, None] + half[:, None] * xi[None, :]).reshape(-1)
@@ -222,11 +226,10 @@ def _gl_panel_nodes(a: float, b: float, panel: float, order: int = 16):
 
 
 def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
-               window0: float = 64.0, panel: float = 1.0,
-               _vector_ok: bool = False):
+               panel: float = 1.0, _vector_ok: bool = False):
     """Long-time mean of a bounded signal g(t) by geometrically growing windows.
 
-    Window averages over [0, W], W = window0 * 2^k, are compared until two
+    Window averages over [0, W], W = 64 * 2^k, are compared until two
     successive estimates differ by less than tol.  Composite Gauss-Legendre
     quadrature keeps the quadrature error far below the window truncation
     error for signals with frequencies up to a few rad per time unit.  Raises
@@ -253,7 +256,7 @@ def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
     spread = None
     spread_prev = None
     w_edge = 0.0
-    window = float(window0)
+    window = 64.0
     while window <= t_max * (1.0 + 1e-12):
         t_nodes, wts = _gl_panel_nodes(w_edge, window, panel)
         chunk = 1 << 18
@@ -289,6 +292,7 @@ class LockResult:
 
 
 CouplingLike = Union[CouplingFunction, Callable, Sequence, np.ndarray]
+_N_SCAN = 4096   # points of lock_analysis's sign scan
 
 
 def _as_coupling_callable(coupling: CouplingLike):
@@ -301,14 +305,14 @@ def _as_coupling_callable(coupling: CouplingLike):
     return lambda psi: interp(np.asarray(wrap_phase(psi), dtype=float))
 
 
-def lock_analysis(delta: float, eps: float, coupling: CouplingLike,
-                  n_scan: int = 4096) -> LockResult:
+def lock_analysis(delta: float, eps: float,
+                  coupling: CouplingLike) -> LockResult:
     """Fixed points of d psi / dt = delta + eps * q(psi) on [0, 2*pi).
 
-    Roots are located by a dense sign scan refined with bisection; a root is
-    stable when the right-hand side has negative slope there.  Stable and
-    unstable points alternate around the circle whenever the locking
-    inequality is strict.
+    Roots are located by a sign scan over `_N_SCAN` = 4096 points refined
+    with bisection; a root is stable when the right-hand side has negative
+    slope there.  Stable and unstable points alternate around the circle
+    whenever the locking inequality is strict.
     """
     delta = float(delta)
     eps = float(eps)
@@ -322,18 +326,18 @@ def lock_analysis(delta: float, eps: float, coupling: CouplingLike,
         return LockResult(locked=(delta == 0.0), fixed_points=[],
                           condition_value=cond)
 
-    psi_scan = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+    psi_scan = np.linspace(0.0, TWO_PI, _N_SCAN, endpoint=False)
     vals = rhs(psi_scan)
     # a node counts as a root when the rhs there is lost in float noise;
     # the wrap interval re-evaluates its far end at 2*pi itself because q
     # is only periodic up to rounding (sin(2*pi) != sin(0) in floats)
     f_floor = 1e-13 * (abs(delta) + abs(eps) * float(np.max(np.abs(vals))))
     roots = []
-    for i in range(n_scan):
+    for i in range(_N_SCAN):
         a = psi_scan[i]
-        b = psi_scan[i + 1] if i + 1 < n_scan else TWO_PI
+        b = psi_scan[i + 1] if i + 1 < _N_SCAN else TWO_PI
         fa = vals[i]
-        fb = vals[i + 1] if i + 1 < n_scan else float(rhs(TWO_PI))
+        fb = vals[i + 1] if i + 1 < _N_SCAN else float(rhs(TWO_PI))
         if abs(fa) <= f_floor:
             roots.append(float(a))
         elif fa * fb < 0.0 and abs(fb) > f_floor:
@@ -350,7 +354,7 @@ def lock_analysis(delta: float, eps: float, coupling: CouplingLike,
         merged.pop()
     roots = merged
     fixed_points = []
-    h = TWO_PI / (8 * n_scan)
+    h = TWO_PI / (8 * _N_SCAN)
     for r in roots:
         slope = float(rhs(r + h) - rhs(r - h)) / (2.0 * h)
         fixed_points.append((float(r), slope < 0.0))

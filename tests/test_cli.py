@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phasekit
+import phasekit._parallel as parallel
 from phasekit.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -355,6 +356,51 @@ def test_sweep_brackets_the_calibrated_threshold(tmp_path, capsys):
     locked_by_eps = {row[1]: row[3] for row in body}
     assert locked_by_eps[min(eps_column)] == 0.0
     assert locked_by_eps[max(eps_column)] == 1.0
+
+
+def test_fit_scaling_bytes_do_not_depend_on_the_worker_count(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"d_omega_list": [0.02, 0.04]})
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+        out_dir = tmp_path / f"out-{workers}"
+        rc, _ = run_cli(["fit-scaling", "--config", cfg, "--out", out_dir],
+                        capsys)
+        assert rc == 0
+        outputs[workers] = {p.name: p.read_bytes()
+                            for p in sorted(out_dir.iterdir())}
+    assert outputs[1] == outputs[2]
+    assert sorted(outputs[1]) == ["manifest.json", "results.csv",
+                                  "scaling.json"]
+
+    scaling = json.loads(outputs[1]["scaling.json"])
+    assert sorted(scaling) == ["d_omega", "eps_c", "exponent", "prefactor",
+                               "r_squared"]
+    assert scaling["d_omega"] == [0.02, 0.04]
+    eps_c = scaling["eps_c"]
+    assert sorted(eps_c) == ["0.02", "0.04"]
+    # a two-point fit runs through both thresholds
+    assert scaling["exponent"] == pytest.approx(
+        math.log(eps_c["0.04"] / eps_c["0.02"]) / math.log(2.0), rel=1e-12)
+    assert scaling["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config, field, message", [
+    ({"d_omega_list": [0.02]}, "d_omega_list", "at least two"),
+    ({"d_omega_list": [0.02, 0.0]}, "d_omega_list", "positive"),
+    ({"pair": "prescribed"}, "pair", "automatic bracket"),
+    ({"pair": "prescribed", "bracket": [0.01, 0.1]}, "pair",
+     "automatic bracket"),
+], ids=["one-detuning", "non-positive", "prescribed-pair",
+        "prescribed-pair-with-bracket"])
+def test_fit_scaling_config_errors(tmp_path, capsys, config, field, message):
+    cfg = write_config(tmp_path, config)
+    rc, out = run_cli(["fit-scaling", "--config", cfg, "--out",
+                       tmp_path / "o"], capsys)
+    assert rc == 2
+    assert _config_error_field(out) == field
+    assert message in json.loads(out)["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,12 @@ def test_stacks_stay_within_the_member_cap(monkeypatch):
         math.log2(1.9 * d / (1e-8 * 0.5 * d)))
 
 
-def sequential_bisection(factory, lo, hi, rel_width, **kw):
+def sequential_bisection(factory, lo, hi, rel_width, t_sim):
     """Plain one-run-per-verdict bisection over lock_psi_series."""
     verdicts = {}
 
     def locked(eps):
-        times, psi, omega_ref = lock_psi_series(factory(eps), **kw)
+        times, psi, omega_ref = lock_psi_series(factory(eps), t_sim=t_sim)
         verdicts[eps] = sync_measure(times, psi, natural_freq=omega_ref).locked
         return verdicts[eps]
 
@@ -223,7 +223,7 @@ def test_stacked_bisection_matches_sequential_bisection():
     factory = lambda e: detuned_sl_pair(d_omega, e)
     res = critical_coupling(factory, 0.004, 0.04, rel_width=0.1, t_sim=300.0)
     eps_c, bracket, verdicts = sequential_bisection(
-        factory, 0.004, 0.04, 0.1, t_sim=300.0, tol=(1e-7, 1e-9))
+        factory, 0.004, 0.04, 0.1, t_sim=300.0)
     assert res.eps_c == eps_c
     assert res.bracket == bracket
     assert set(res.reports) == set(verdicts)

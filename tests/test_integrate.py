@@ -1,6 +1,8 @@
 import math
+import signal
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -353,3 +355,48 @@ def test_direction_filtering():
     # starting at the top of the circle: downward crossing comes first
     assert abs(t_down - math.pi / 2) < 1e-6
     assert abs(t_up - 3 * math.pi / 2) < 1e-6
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NON_FINITE_SPANS = {
+    "flow-nan": lambda m: pk.flow(m, [1.0, 0.0], math.nan),
+    "integrate-inf": lambda m: pk.integrate(m, [1.0, 0.0], (0.0, math.inf)),
+    "integrate-nan": lambda m: pk.integrate(m, [1.0, 0.0], (0.0, math.nan)),
+    "flow_batch-inf": lambda m: flow_batch(m, [[1.0, 0.0]], math.inf),
+    "find_crossing-nan": lambda m: pk.find_crossing(
+        m, [1.0, 0.5], Section(s=lambda x: x[1]), math.nan),
+}
+
+
+@pytest.mark.parametrize("run", NON_FINITE_SPANS.values(),
+                         ids=NON_FINITE_SPANS.keys())
+def test_non_finite_time_span_fails_fast(run):
+    with within(1.0), pytest.raises(ValueError, match="must be finite"):
+        run(pk.make_model("spiral"))
+
+
+@pytest.mark.parametrize("t_eval, message", [
+    ([0.0, 2.0], "not within `t_span`"),
+    ([0.5, 0.2], "not properly sorted"),
+], ids=["out-of-span", "unsorted"])
+def test_bad_sample_times_are_scipys_value_errors(t_eval, message):
+    coupling = pk.CouplingFunction(grid=np.linspace(0.0, 2 * math.pi, 8,
+                                                    endpoint=False),
+                                   values=np.zeros(8), provenance="analytic")
+    with pytest.raises(ValueError, match=message):
+        pk.simulate_averaged(coupling, 0.1, 0.05, 0.0, (0.0, 1.0),
+                             t_eval=np.array(t_eval))

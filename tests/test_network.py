@@ -1,5 +1,8 @@
 """Coupled-network layer: specs, phase models, full-vs-reduced comparisons."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from phasekit import (
     build_phase_model,
     compare_full_vs_reduced,
     flow,
+    get_cycle,
     lock_analysis,
     make_model,
     network_phases,
@@ -18,7 +22,10 @@ from phasekit import (
     simulate_phase_model,
     sl_prescribed_pair,
 )
+import phasekit.network as network
 from phasekit.network import _phase_rhs
+
+from conftest import scalar_only_radial
 
 TWO_PI = 2.0 * np.pi
 
@@ -581,3 +588,28 @@ def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
 def test_comparison_needs_a_positive_horizon(sl_pair, horizon_mult):
     with pytest.raises(ValueError, match="horizon_mult"):
         compare_full_vs_reduced(sl_pair, horizon_mult=horizon_mult)
+
+
+def test_cycle_cache_keeps_custom_models_alive(monkeypatch):
+    # a custom model is cached by id, so the cache must hold the model: once
+    # freed, its id could be reused and served this model's cycle
+    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
+    shot = []
+    real_shoot = network._shoot
+
+    def shoot(model):
+        shot.append(weakref.ref(model))
+        return real_shoot(model)
+
+    monkeypatch.setattr(network, "_shoot", shoot)
+    f = scalar_only_radial().f
+    model = make_model("custom", f=f, dim=2, basin_radius=1e-3)
+    cycle = get_cycle(model)
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is not None
+    twin = make_model("custom", f=f, dim=2, basin_radius=1e-3)
+    assert twin == alive() and twin is not alive()
+    assert get_cycle(twin) is not cycle
+    assert len(shot) == 2 and shot[1]() is twin
