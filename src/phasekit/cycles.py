@@ -9,7 +9,12 @@ The interpolant's complex products run in row blocks small enough for
 OpenBLAS to keep on one thread, so their bits do not depend on the BLAS
 thread count.  `LimitCycle.project` works on stacks in blocks of
 `_PROJECT_CHUNK` rows, and a stack of two or more blocks is projected in
-forked worker processes (`_parallel.pmap`) with the same bits.
+forked worker processes (`_parallel.pmap`) with the same bits.  Each block
+task finds every row's nearest grid node, then runs four Newton steps from
+it; the first step's exponential table is computed once per distinct start
+node, not once per row.  `asymptotic_phase` settles its stack through the
+same block tasks, which refine only the rows that can lie within its
+settled distance of the cycle (see `LimitCycle._project_rows`).
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ __all__ = [
 ]
 
 
-# Rows per block in LimitCycle.project: its nearest-node search holds a
-# (rows, grid_size, dim) array, about 8 MB at the default 256-point grid.
+# Rows per block in LimitCycle.project: its nearest-node search holds
+# (rows, grid_size) arrays, about 4 MB each at the default 256-point grid.
 # With single-threaded BLAS a row's product has the same bits in any block of
 # two or more rows, so blocking leaves the result unchanged, and the blocks
 # of a stack can run in worker processes.
@@ -112,7 +117,10 @@ class PeriodicInterpolant:
         of the complex exponentials.
         """
         theta = np.asarray(theta, dtype=float)
-        e = self._phases(theta)
+        return self._jet(self._phases(theta), theta)
+
+    def _jet(self, e, theta):
+        """jet(theta) from e, the phase table of theta."""
         return (self._value(e, theta), self._derivative(e, theta, 1),
                 self._derivative(e, theta, 2))
 
@@ -194,37 +202,94 @@ class LimitCycle:
             out[on_node] = self.points[idx[on_node]]
         return out
 
+    @property
+    def _longest_chord(self) -> float:
+        """Longest distance between neighbouring grid points, wrapping round."""
+        steps = np.roll(self.points, -1, axis=0) - self.points
+        return float(np.linalg.norm(steps, axis=1).max())
+
     def project(self, x):
         """Orthogonal projection onto the cycle: (theta, distance).
 
         Accepts a single state (dim,) or a stack (K, dim).  theta solves
-        (x - gamma(theta)) . gamma'(theta) = 0 near the closest grid node.
-        Stacks are projected in blocks of about _PROJECT_CHUNK rows, so
-        memory stays bounded for any K; a stack of two or more blocks is
-        projected in forked worker processes (`_parallel.pmap`), one block
-        per task, with the same bits as a serial run.
+        (x - gamma(theta)) . gamma'(theta) = 0 by four Newton steps from the
+        closest grid node.  Stacks are projected in blocks of about
+        _PROJECT_CHUNK rows, so memory stays bounded for any K; a stack of
+        two or more blocks is projected in forked worker processes
+        (`_parallel.pmap`), one block per task, with the same bits as a
+        serial run.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        pts = x[None, :] if single else x
-        blocks = _row_blocks(len(pts), _PROJECT_CHUNK)
-        parts = pmap(lambda b: self._project_chunk(pts[b[0]:b[1]]), blocks)
-        theta = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-        dist = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
+        theta, dist = self._project_rows(x[None, :] if single else x, np.inf)
         if single:
             return float(theta[0]), float(dist[0])
         return theta, dist
 
-    def _project_chunk(self, pts):
-        d2 = ((pts[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-        theta = self.grid[np.argmin(d2, axis=1)].astype(float)
-        for _ in range(4):
-            g, dg, d2g = self._interp.jet(theta)
+    def _project_rows(self, pts, reach):
+        """project of a (K, dim) stack, refining only the rows whose nearest
+        grid node lies within `reach`; the others get theta NaN and distance
+        inf.
+
+        On a smooth cycle every interpolant point lies within about half of
+        `_longest_chord` of a grid node, so with reach = `_longest_chord` +
+        tol the rows left out could not project within tol of the cycle.
+        Refined rows get the bits `project` gives them.
+        """
+        blocks = _row_blocks(len(pts), _PROJECT_CHUNK)
+        parts = pmap(lambda b: self._project_block(pts[b[0]:b[1]], reach),
+                     blocks)
+        theta = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
+        dist = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
+        return theta, dist
+
+    def _nearest_nodes(self, pts):
+        """Index of each row's nearest grid node, and its squared distance.
+
+        The squared distances are summed one coordinate at a time over
+        (rows, M) arrays.  Below 8 coordinates numpy's sum over the axis of
+        a (rows, M, dim) array adds in this same order, so the bits agree.
+        """
+        d2 = np.subtract.outer(pts[:, 0], self.points[:, 0]) ** 2
+        for i in range(1, pts.shape[1]):
+            d2 += np.subtract.outer(pts[:, i], self.points[:, i]) ** 2
+        nearest = np.argmin(d2, axis=1)
+        return nearest, d2[np.arange(len(pts)), nearest]
+
+    def _project_block(self, pts, reach):
+        nearest, d2 = self._nearest_nodes(pts)
+        # a NaN row is not "far" and is refined, as every row once was
+        far = d2 > reach * reach
+        theta = np.full(len(pts), np.nan)
+        dist = np.full(len(pts), np.inf)
+        rows = np.flatnonzero(~far)
+        if len(rows) == 1 and len(pts) > 1:
+            # numpy's one-row product rounds differently from the same row
+            # in a larger product: refine a lone row twice over
+            rows = np.repeat(rows, 2)
+        if len(rows):
+            theta[rows], dist[rows] = self._newton(pts[rows], nearest[rows])
+        return theta, dist
+
+    def _newton(self, pts, nodes):
+        """Four Newton steps from the grid nodes `nodes`: (theta, dist).
+
+        The first step's phase table is computed for the distinct nodes
+        only, at most grid_size rows, and gathered for the rows.
+        """
+        interp = self._interp
+        starts, row_start = np.unique(nodes, return_inverse=True)
+        theta = self.grid[nodes]
+        e = interp._phases(self.grid[starts])[row_start]
+        for step in range(4):
+            if step:
+                e = interp._phases(theta)
+            g, dg, d2g = interp._jet(e, theta)
             res = ((pts - g) * dg).sum(axis=1)
             slope = -(dg * dg).sum(axis=1) + ((pts - g) * d2g).sum(axis=1)
             theta = theta - res / slope
         theta = wrap_phase(theta)
-        return theta, np.linalg.norm(pts - self._interp(theta), axis=1)
+        return theta, np.linalg.norm(pts - interp(theta), axis=1)
 
 
 def _section_y(x):

@@ -3,14 +3,20 @@
 The asymptotic phase of a state is computed by letting the flow carry it onto
 the cycle in whole-period steps: the phase is invariant under time-T maps, so
 the projection of the settled endpoint is already the answer, with no
-back-rotation bookkeeping.  Isochrons are grown from the cycle by the inverse
-route: seed points a few microns off the cycle along the isochron tangent and
-map them outward with whole backward periods, which preserves their phase
-while the contraction rate amplifies the offset to the requested distance.
-The two sides of the cycle are mapped independently, in forked worker
-processes (`_parallel.pmap`), with the same bits as a serial run; each probe
-of a side steps the endpoint-only solver with an escape guard.  The
-projections of a large batch run in workers too (`LimitCycle.project`).
+back-rotation bookkeeping.  Each projection runs Newton from the state's
+nearest grid node.  Before the first flow only the states whose nearest node
+lies within the cycle's longest grid chord plus the settled distance are
+projected: no other state can already sit that close to the cycle.  The
+projections of a large batch run in forked worker processes
+(`LimitCycle.project`).
+
+Isochrons are grown from the cycle by the inverse route: seed points a few
+microns off the cycle along the isochron tangent and map them outward with
+whole backward periods, which preserves their phase while the contraction
+rate amplifies the offset to the requested distance.  The two sides of the
+cycle are mapped independently, in forked worker processes
+(`_parallel.pmap`), with the same bits as a serial run; each probe of a side
+steps the endpoint-only solver with an escape guard.
 """
 
 from __future__ import annotations
@@ -63,7 +69,11 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
 
     x may be (dim,) or (K, dim); the stack is settled in one batched
     integration at `_GEOM_TOL`, whole periods at a time, until each state
-    projects within `_SETTLED_DIST` = 1e-9 of the cycle.  States inside the
+    projects within `_SETTLED_DIST` = 1e-9 of the cycle.  The first pass
+    refines only the states whose nearest grid node lies within the cycle's
+    longest grid chord plus `_SETTLED_DIST`: no state farther out can
+    project that close, so the rest are flowed without a projection.  Every
+    projection starts Newton at the nearest grid node.  States inside the
     excluded phaseless neighborhood are rejected; states that fail to
     approach the cycle within the settle budget raise PhaseConvergenceError.
     """
@@ -72,9 +82,8 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
     pts = x[None, :].copy() if single else x.copy()
     model.check_basin(pts)
 
-    theta, dist = cycle.project(pts)
-    theta = np.atleast_1d(theta)
-    dist = np.atleast_1d(dist)
+    theta, dist = cycle._project_rows(
+        pts, cycle._longest_chord + _SETTLED_DIST)
     done = dist < _SETTLED_DIST
     budget = _settle_budget(cycle)
     for _ in range(budget):
@@ -82,9 +91,7 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
             break
         active = ~done
         pts[active] = flow_batch(model, pts[active], cycle.period, _GEOM_TOL)
-        th_a, d_a = cycle.project(pts[active])
-        theta[active] = np.atleast_1d(th_a)
-        dist[active] = np.atleast_1d(d_a)
+        theta[active], dist[active] = cycle.project(pts[active])
         done = dist < _SETTLED_DIST
     if not np.all(done):
         worst = float(dist.max())
@@ -142,10 +149,13 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     close to the cycle and are carried outward by whole backward periods
     (which leave the phase untouched), with a secant pass on the seed size so
     the achieved radii land on the requested grid; the inner and outer sides
-    are mapped in two worker processes.  The cycle point gamma(theta)
-    is always included and points are ordered by radius.  n_points must be
-    at least 1.  Every point's asymptotic phase is then checked: the largest
-    error is phase_residual, and one of 1e-4 or more raises IsochronError.
+    are mapped in two worker processes.  A side whose farthest target the
+    contraction rate's depth cannot reach is mapped again one period deeper,
+    while its smallest seed stays well above roundoff.  The cycle point
+    gamma(theta) is always included and points are ordered by radius.
+    n_points must be at least 1.  Every point's asymptotic phase is then
+    checked: the largest error is phase_residual, and one of 1e-4 or more
+    raises IsochronError.
     """
     if model.dim != 2:
         raise IsochronError("isochron sampling implemented for planar models")
@@ -222,6 +232,41 @@ def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
     """Map one side's targets (distances from the cycle, all > s_lin) onto the
     isochron by whole backward periods.
 
+    The depth starts at the periods the linear contraction rate needs to
+    carry s_lin out to the farthest target.  Inside a cycle the backward gain
+    saturates toward the focus, so where the farthest target cannot be
+    reached from a seed below s_lin the side is mapped again one period
+    deeper, for as long as the smallest seed, d_min * exp(lam * T * m), stays
+    at or above 1e3 * eps * |gamma(theta)|; below that the seed is lost to
+    roundoff in g0 + s * w, and IsochronError names the depths tried.
+    """
+    lam, t_per = cycle.floquet, cycle.period
+    d_max, d_min = float(d_targets.max()), float(d_targets.min())
+    m = max(1, int(np.ceil((np.log(d_max) - np.log(s_lin)) / (abs(lam) * t_per))))
+    floor = 1e3 * np.finfo(float).eps * float(np.linalg.norm(g0))
+    tried = []
+    while True:
+        out = _map_isochron_depth(model, cycle, g0, w, d_targets, r_cycle,
+                                  s_lin, r_cap, m)
+        if out is not None:
+            return out
+        tried.append(m)
+        m += 1
+        smallest = d_min * np.exp(lam * t_per * m)
+        if smallest < floor:
+            raise IsochronError(
+                f"farthest target unreachable from seeds below {s_lin:g} "
+                f"after {', '.join(map(str, tried))} backward periods; "
+                f"{m} periods would shrink the smallest seed to "
+                f"{smallest:.1e}, below roundoff at |gamma| = "
+                f"{np.linalg.norm(g0):.3g}")
+
+
+def _map_isochron_depth(model, cycle, g0, w, d_targets, r_cycle, s_lin,
+                        r_cap, m):
+    """_map_isochron_side at m backward periods; None when the farthest
+    target needs a seed larger than s_lin.
+
     The seed-size-to-achieved-distance curve is monotone but strongly
     nonlinear, and too-large outward seeds escape to infinity in less than a
     period; so the largest target's seed is located first by a cap-guarded
@@ -231,7 +276,6 @@ def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
     """
     lam, t_per = cycle.floquet, cycle.period
     d_max, d_min = float(d_targets.max()), float(d_targets.min())
-    m = max(1, int(np.ceil((np.log(d_max) - np.log(s_lin)) / (abs(lam) * t_per))))
     amp = np.exp(lam * t_per * m)
 
     def seed_point(s):
@@ -271,10 +315,7 @@ def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
             s = s / 2.5
             continue
         if s >= s_lin * 0.999999:
-            raise IsochronError(
-                "farthest target unreachable: seed budget exhausted at the "
-                "linear-seeding limit; widen the mapping depth"
-            )
+            return None
         s = min(s * 1.6, s_lin)
     if s_lo_br is None or s_hi_br is None:
         raise IsochronError("could not bracket the farthest target's seed")

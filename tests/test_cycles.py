@@ -302,3 +302,59 @@ def test_project_of_an_empty_stack(spiral_cycle):
     _, cyc = spiral_cycle
     theta, dist = cyc.project(np.empty((0, 2)))
     assert theta.shape == (0,) and dist.shape == (0,)
+
+
+_PROJECTION_STEPS_CHECK = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import phasekit as pk
+from conftest import spiral_states, with_decaying_axis
+from test_cycles import _unblocked_project
+spiral = pk.make_model("spiral")
+planar = pk.find_limit_cycle(spiral, (0.5, 0.5))
+solid = pk.find_limit_cycle(with_decaying_axis(spiral, 3.0), (1.5, 0.1, 0.5))
+for cyc in (planar, solid):
+    for k in (1, 2, 127, 2049):
+        pts = spiral_states(k)
+        if cyc.points.shape[1] == 3:
+            pts = np.column_stack([pts, np.linspace(-0.5, 0.5, k)])
+        # the nearest node from one (rows, M, dim) array of differences
+        d2 = ((pts[:, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
+        nodes, node_d2 = cyc._nearest_nodes(pts)
+        np.testing.assert_array_equal(nodes, np.argmin(d2, axis=1))
+        np.testing.assert_array_equal(node_d2, d2.min(axis=1))
+        # Newton started from a phase table of every row
+        want = _unblocked_project(cyc, pts)
+        for got in (cyc._newton(pts, nodes), cyc.project(pts)):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+"""
+
+
+def test_projection_steps_match_the_one_array_formulas_bitwise():
+    # the per-coordinate node search and the nodal-table Newton start, on
+    # planar and 3-D cycles, against the formulas they replace
+    run_with_one_blas_thread(_PROJECTION_STEPS_CHECK)
+
+
+@pytest.mark.parametrize("name, params, guess", [
+    ("radial", {}, (1.7, 0.1)),
+    ("spiral", {}, (0.5, 0.5)),
+    ("relaxation", {"mu": 1.0}, (2.0, 0.0)),
+    ("relaxation", {"mu": 3.0}, (2.0, 0.0)),
+    ("stuart_landau", {"omega": 2.0, "c2": 1.0}, (1.5, 0.1)),
+    ("spiral-3d", {}, (1.5, 0.1, 0.5)),
+])
+def test_interpolant_stays_within_a_chord_of_the_nodes(name, params, guess):
+    # asymptotic_phase refines a state only if a node lies within the
+    # longest chord (plus its settled distance) of it; that is exact only if
+    # no interpolant point lies farther than the chord from every node
+    if name == "spiral-3d":
+        model = with_decaying_axis(pk.make_model("spiral"), 3.0)
+    else:
+        model = pk.make_model(name, **params)
+    cyc = find_limit_cycle(model, guess)
+    fine = TWO_PI * np.arange(16 * cyc.grid_size) / (16 * cyc.grid_size)
+    _, d2 = cyc._nearest_nodes(cyc._interp(fine))
+    assert np.sqrt(d2.max()) <= cyc._longest_chord

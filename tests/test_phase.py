@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phasekit as pk
-from phasekit import PhaselessStateError
+import phasekit._parallel as parallel
+from phasekit import LimitCycle, PeriodicInterpolant, PhaselessStateError, phase
+from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
 from phasekit.ode import flow_batch
+from phasekit.phase import _SETTLED_DIST
 
-from conftest import circ_err
+from conftest import circ_err, spiral_states
 
 TWO_PI = 2 * math.pi
 
@@ -200,3 +203,133 @@ def test_isochron_needs_at_least_one_point(radial_cycle, n_points):
     m, cyc = radial_cycle
     with pytest.raises(ValueError, match="n_points"):
         pk.compute_isochron(m, cyc, 0.0, (0.3, 2.0), n_points=n_points)
+
+
+def _states_near_the_cycle(cyc):
+    """States at distance 0, 0.5e-9 and 2e-9 off a planar cycle, along its
+    normal, at grid nodes and midway between them."""
+    step = TWO_PI / cyc.grid_size
+    out = []
+    for k in (0, 37, 200):
+        for theta in (k * step, (k + 0.5) * step):
+            tangent = cyc._interp.derivative(theta)
+            normal = np.array([tangent[1], -tangent[0]])
+            normal /= np.linalg.norm(normal)
+            for delta in (0.0, 0.5e-9, 2e-9):
+                out.append(cyc.gamma_at(theta) + delta * normal)
+    return np.array(out)
+
+
+def _far_states(cyc, k):
+    """k spiral states whose nearest grid node is out of the settle reach."""
+    pts = spiral_states(4 * k, seed=3)
+    _, d2 = cyc._nearest_nodes(pts)
+    return pts[d2 > (4 * cyc._longest_chord) ** 2][:k]
+
+
+def _stacks(cyc):
+    near = _states_near_the_cycle(cyc)
+    mixed = np.concatenate([_far_states(cyc, 40), near])
+    mixed = mixed[np.random.default_rng(4).permutation(len(mixed))]
+    # two blocks of the projection, each with exactly one state in reach
+    lone = _far_states(cyc, _PROJECT_CHUNK + 10)
+    lone[5] = near[4]
+    lone[_PROJECT_CHUNK + 3] = near[10]
+    return {"mixed": mixed, "one-in-reach": lone, "single-near": near[4],
+            "single-far": lone[0], "empty": np.empty((0, 2))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["mixed", "one-in-reach", "single-near",
+                                  "single-far", "empty"])
+def test_settle_reach_changes_no_phase(monkeypatch, spiral_cycle, name,
+                                       workers):
+    # the first pass skips Newton for states out of reach; asymptotic_phase
+    # must give the bits of a first pass that projects every state
+    model, cyc = spiral_cycle
+    x = _stacks(cyc)[name]
+    if name == "one-in-reach":
+        _, d2 = cyc._nearest_nodes(x)
+        in_reach = d2 <= (cyc._longest_chord + _SETTLED_DIST) ** 2
+        assert [int(in_reach[lo:hi].sum()) for lo, hi
+                in _row_blocks(len(x), _PROJECT_CHUNK)] == [1, 1]
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+    got = pk.asymptotic_phase(model, cyc, x)
+    rows = LimitCycle._project_rows
+    monkeypatch.setattr(LimitCycle, "_project_rows",
+                        lambda self, pts, reach: rows(self, pts, np.inf))
+    np.testing.assert_array_equal(got, pk.asymptotic_phase(model, cyc, x))
+
+
+def test_first_pass_computes_exponentials_only_for_states_in_reach(
+        monkeypatch, spiral_cycle):
+    # rows handed to the interpolant's phase tables: in the first pass none
+    # for states out of reach, and every projection's first Newton step
+    # costs at most min(rows, M) rows
+    model, cyc = spiral_cycle
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
+    log = []
+    tables = PeriodicInterpolant._phases
+    monkeypatch.setattr(
+        PeriodicInterpolant, "_phases",
+        lambda self, theta: log.append(np.size(theta)) or tables(self, theta))
+    flow = phase.flow_batch
+    monkeypatch.setattr(phase, "flow_batch",
+                        lambda *args: log.append(None) or flow(*args))
+    pts = spiral_states(4099)
+    pk.asymptotic_phase(model, cyc, pts)
+
+    reach = cyc._longest_chord + _SETTLED_DIST
+    first_pass = []
+    for lo, hi in _row_blocks(len(pts), _PROJECT_CHUNK):
+        d2 = ((pts[lo:hi, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
+        near = d2.min(axis=1) <= reach * reach
+        starts = np.unique(np.argmin(d2[near], axis=1))
+        if near.any():
+            # a lone row in reach is refined twice over, in a 2-row product
+            first_pass += [len(starts)] + [max(2, int(near.sum()))] * 4
+    assert log[:log.index(None)] == first_pass
+    calls = [rows for rows in log if rows is not None]
+    assert len(calls) % 5 == 0
+    for i in range(0, len(calls), 5):
+        assert calls[i] <= min(calls[i + 1], cyc.grid_size)
+
+
+@pytest.fixture(scope="module")
+def relaxation_cycle():
+    model = pk.make_model("relaxation", mu=1.0)
+    cyc = pk.find_limit_cycle(model, (2.0, 0.0))
+    return model, cyc, pk.phase_sensitivity(model, cyc)
+
+
+@pytest.mark.parametrize("radial_range", [(0.3, 2.0), (0.5, 3.0)])
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_relaxation_isochron_reaches_inside_the_cycle(relaxation_cycle,
+                                                      theta, radial_range):
+    m, cyc, sens = relaxation_cycle
+    iso = pk.compute_isochron(m, cyc, theta, radial_range, n_points=20,
+                              sens=sens)
+    phases = pk.asymptotic_phase(m, cyc, iso.points)
+    assert circ_err(phases, np.full(len(iso.points), theta)) < 1e-4
+    # the innermost requested radius is reached
+    radii = np.linalg.norm(iso.points, axis=1)
+    assert abs(radii.min() - radial_range[0]) < 1e-2
+
+
+def test_isochron_depth_stops_before_seeds_reach_roundoff(monkeypatch,
+                                                          spiral_cycle):
+    # every depth "fails": the side is retried one period deeper until the
+    # smallest seed would drop below 1e3 * eps * |gamma(theta)|
+    m, cyc = spiral_cycle
+    depths = []
+    monkeypatch.setattr(phase, "_map_isochron_depth",
+                        lambda *args: depths.append(args[-1]))
+    with pytest.raises(pk.IsochronError, match="unreachable") as err:
+        pk.compute_isochron(m, cyc, 0.0, (1.5, 2.0), n_points=5)
+    assert depths == list(range(depths[0], depths[-1] + 1))
+    assert f"after {', '.join(map(str, depths))} backward periods" \
+        in str(err.value)
+    assert "widen" not in str(err.value)
+    floor = 1e3 * np.finfo(float).eps * np.linalg.norm(cyc.gamma_at(0.0))
+    gain = math.exp(cyc.floquet * cyc.period)
+    assert 0.5 * gain ** depths[-1] >= floor > 0.5 * gain ** (depths[-1] + 1)
