@@ -269,16 +269,13 @@ def _build_network(node):
                               field=f"network.{key}") from exc
         return arr
 
-    try:
-        return NetworkSpec(
-            models=models,
-            epsilon=_num(node, "epsilon", context="network", required=True),
-            a=matrix("a"), b=matrix("b"), c=matrix("c"),
-            nu1=_num(node, "nu1", None, "network"),
-            nu2=_num(node, "nu2", None, "network"),
-            coupling=coupling)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="network") from exc
+    return NetworkSpec(
+        models=models,
+        epsilon=_num(node, "epsilon", context="network", required=True),
+        a=matrix("a"), b=matrix("b"), c=matrix("c"),
+        nu1=_num(node, "nu1", None, "network"),
+        nu2=_num(node, "nu2", None, "network"),
+        coupling=coupling)
 
 
 def cmd_simulate(config, args):
@@ -287,7 +284,12 @@ def cmd_simulate(config, args):
                {"network"}, "")
     if not isinstance(config["network"], dict):
         raise ConfigError("network must be an object", field="network")
-    spec = _build_network(config["network"])
+    try:
+        spec = _build_network(config["network"])
+    except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc), field="network") from exc
     horizon_mult = _num(config, "horizon_mult", default=1.0)
     if horizon_mult <= 0.0:
         raise ConfigError("horizon_mult must be positive", field="horizon_mult")
@@ -344,10 +346,13 @@ def _threshold_config(config):
     if pair == "prescribed" and bracket is None:
         raise ConfigError("pair \"prescribed\" needs an explicit bracket",
                           field="bracket")
+    rel_width = _num(config, "rel_width", 0.05)
+    if rel_width <= 0.0:
+        raise ConfigError("rel_width must be positive", field="rel_width")
     return {
         "pair": pair,
         "bracket": bracket,
-        "rel_width": _num(config, "rel_width", 0.05),
+        "rel_width": rel_width,
         "kappa": _num(config, "kappa",
                       SUBHARMONIC_KAPPA if pair == "subharmonic" else 1.0),
         "mu": _num(config, "mu", 1.0),
@@ -357,20 +362,25 @@ def _threshold_config(config):
     }
 
 
+def _pair_factory(d_omega, tc):
+    """eps -> the configured pair at detuning d_omega."""
+    if tc["pair"] == "subharmonic":
+        return lambda eps: subharmonic_pair(d_omega, eps, mu=tc["mu"],
+                                            c2=tc["c2"], kappa=tc["kappa"])
+    return lambda eps: sl_prescribed_pair(d_omega, eps, kappa=tc["kappa"],
+                                          c2=tc["c2"])
+
+
 def _run_threshold(d_omega, tc):
     """Bisect the locking threshold at one detuning; returns the result."""
+    factory = _pair_factory(d_omega, tc)
     if tc["pair"] == "subharmonic":
-        def factory(eps, _d=d_omega):
-            return subharmonic_pair(_d, eps, mu=tc["mu"], c2=tc["c2"],
-                                    kappa=tc["kappa"])
         bracket = tc["bracket"] or subharmonic_bracket(d_omega)
         weights = SUBHARMONIC_WEIGHTS
         strobe = subharmonic_strobe(factory(bracket[0]))
         # slow detunings need a proportionally longer verdict window
         t_sim = tc["t_sim"] or max(1500.0, 25.0 / max(d_omega, 1e-12))
     else:
-        def factory(eps, _d=d_omega):
-            return sl_prescribed_pair(_d, eps, kappa=tc["kappa"], c2=tc["c2"])
         bracket = tc["bracket"]
         weights = (-1.0, 1.0)
         strobe = None
@@ -394,6 +404,12 @@ _SWEEP_COLUMNS = ["d_omega", "epsilon", "S", "locked", "psi_star"]
 
 def _run_sweep(d_list, tc):
     """Thresholds for each detuning, in workers; (results dict, csv rows)."""
+    for d in d_list:   # a ConfigError raised in a worker loses its field
+        try:
+            _pair_factory(d, tc)((tc["bracket"] or subharmonic_bracket(d))[0])
+        except ValueError as exc:
+            field = "mu" if tc["pair"] == "subharmonic" else "c2"
+            raise ConfigError(str(exc), field=field) from exc
     results = pmap(lambda d: _run_threshold(d, tc), d_list)
     rows = []
     for d, res in zip(d_list, results):

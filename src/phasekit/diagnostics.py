@@ -202,8 +202,8 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
     endpoints must straddle the transition: a locked lower endpoint raises
     CouplingRangeError(side="below"), an unlocked upper endpoint
     side="above".  Bisection stops when the bracket is narrower than
-    rel_width relative to its midpoint, or after `_MAX_BISECTIONS` = 60
-    steps.
+    rel_width (> 0, else ValueError) relative to its midpoint, or after
+    `_MAX_BISECTIONS` = 60 steps.
 
     The runs are integrated speculatively.  Because the stopping rule
     depends only on the bracket, the endpoints and every midpoint the
@@ -218,6 +218,8 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
+    if not rel_width > 0.0:
+        raise ValueError(f"rel_width must be positive, got {rel_width!r}")
     reports = {}
     runs = {}          # eps -> (spec, t_eval, omega_ref, trajectory)
 

@@ -17,6 +17,9 @@ rate amplifies the offset to the requested distance.  The two sides of the
 cycle are mapped independently, in forked worker processes
 (`_parallel.pmap`), with the same bits as a serial run; each probe of a side
 steps the endpoint-only solver with an escape guard.
+
+The adjoint sensitivity integrates nothing: it is the kernel of a Fourier
+collocation matrix on the cycle grid (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
 from ._parallel import pmap
-from .ode import IntegrationError, _endpoint, _run_solver, flow_batch
+from .ode import IntegrationError, _endpoint, flow_batch
 from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
 
 __all__ = [
@@ -45,10 +48,8 @@ __all__ = [
 # into every downstream phase estimate.
 _GEOM_TOL = (1e-11, 1e-13)
 _SETTLED_DIST = 1e-9   # asymptotic_phase's distance from the cycle when done
-# The backward adjoint iteration stops when one period changes it by less
-# than this, relative, and fails after this many periods.
-_ADJOINT_PERIODIC_TOL = 1e-8
-_ADJOINT_MAX_PERIODS = 25
+_COLLOCATION_MAX_SIZE = 2048   # largest grid_size * dim the adjoint takes
+_COLLOCATION_RESIDUAL = 1e-8   # largest |L z| / |L| of its null vector
 
 
 class PhaseConvergenceError(RuntimeError):
@@ -375,12 +376,14 @@ def phase_sensitivity(model: OscillatorModel, cycle: LimitCycle,
     """Phase response curve Z(theta) on the cycle grid, normalized so that
     Z . f = omega0 at every node.
 
-    method="adjoint" integrates the adjoint variational equation backward in
-    time until the solution is periodic to `_ADJOINT_PERIODIC_TOL` = 1e-8
-    (PhaseConvergenceError after `_ADJOINT_MAX_PERIODS` = 25 periods), then
-    rescales each node.  method="finite_difference" perturbs each grid point
-    by h = 1e-5 * scale in every coordinate and differences the asymptotic
-    phase.
+    method="adjoint" takes Z, rescaled node by node, as the kernel of the
+    collocation matrix L = D (x) I + blockdiag(Df(gamma_k)^T) / omega0 of
+    dZ/dtheta = -Df(gamma)^T Z / omega0 (D differentiates Fourier series),
+    found by QR.  A cycle that does not fit its field leaves |L z| / |L|
+    (max norms) above 1e-8: PhaseConvergenceError.  grid_size * dim above
+    2048 raises ValueError before L is built.  method="finite_difference"
+    has no such limit: it perturbs each grid point by h = 1e-5 * scale in
+    every coordinate and differences the asymptotic phase.
     """
     if method == "adjoint":
         return _prc_adjoint(model, cycle)
@@ -390,64 +393,42 @@ def phase_sensitivity(model: OscillatorModel, cycle: LimitCycle,
 
 
 def _prc_adjoint(model, cycle):
+    m, dim = cycle.grid_size, model.dim
+    if m * dim > _COLLOCATION_MAX_SIZE:
+        raise ValueError(f"adjoint needs grid_size * dim <= "
+                         f"{_COLLOCATION_MAX_SIZE}, got {m} * {dim}")
     jac = _jacobian_fn(model)
-    omega0 = cycle.omega0
-    t_period = cycle.period
-
-    def rhs(s, w):
-        # Backward time s = -t: dW/ds = +Df(gamma(-s))^T W.
-        x = cycle.gamma_at(-omega0 * s)
-        return jac(x).T @ w
-
-    f0 = np.asarray(model.f(cycle.anchor), dtype=float)
-    w = omega0 * f0 / float(f0 @ f0)
-    converged = False
-    for _ in range(_ADJOINT_MAX_PERIODS):
-        w_next = _endpoint(rhs, w, (0.0, t_period), _GEOM_TOL)
-        if np.linalg.norm(w_next - w) <= (_ADJOINT_PERIODIC_TOL
-                                          * np.linalg.norm(w_next)):
-            w = w_next
-            converged = True
-            break
-        w = w_next
-    if not converged:
-        raise PhaseConvergenceError(
-            f"adjoint iteration not periodic to {_ADJOINT_PERIODIC_TOL:g} "
-            f"within {_ADJOINT_MAX_PERIODS} periods"
-        )
-
-    # One more backward period, sampled so node k carries phase theta_k.
-    m = cycle.grid_size
-    s_nodes = t_period - cycle.grid / omega0      # s for theta_k, k = 0..M-1
-    order = np.argsort(s_nodes)
-    res = _run_solver(rhs, w, (0.0, t_period), _GEOM_TOL, t_eval=s_nodes[order])
-    values = np.empty((m, model.dim))
-    values[order] = res.y.T
-    # theta_0 sample sits at s = T; the converged w is that sample.
-    values[0] = w
-    return _normalized_sensitivity(model, cycle, values)
+    # D[i, j] = (-1)**(i - j) cot((i - j) pi / M) / 2, exactly skew
+    nodes = np.arange(m)
+    lag = np.subtract.outer(nodes, nodes)
+    col = np.r_[0.0, 0.5 * (-1.0) ** nodes[1:] / np.tan(nodes[1:] * np.pi / m)]
+    lmat = np.zeros((m * dim, m * dim))
+    blocks = lmat.reshape(m, dim, m, dim)
+    for a in range(dim):
+        blocks[:, a, :, a] = np.sign(lag) * col[np.abs(lag)]
+    blocks[nodes, :, nodes, :] = np.array(
+        [jac(x).T for x in cycle.points]) / cycle.omega0
+    # f(gamma_k) weights the one dependency among L's rows; with the row of
+    # largest weight factored last, Q's last column spans L's kernel
+    last = int(np.argmax(np.abs(model.f_batch(cycle.points))))
+    lmat[[last, -1]] = lmat[[-1, last]]
+    z = np.linalg.qr(lmat.T, mode="complete")[0][:, -1]
+    residual = np.abs(lmat @ z).max() / np.abs(lmat).sum(axis=1).max()
+    if residual > _COLLOCATION_RESIDUAL:
+        raise PhaseConvergenceError(f"adjoint residual {residual:.1e}: the "
+                                    "cycle does not fit its field")
+    return _normalized_sensitivity(model, cycle, z.reshape(m, dim))
 
 
 def _prc_finite_difference(model, cycle):
-    m = cycle.grid_size
-    dim = model.dim
     pts = cycle.points
-    scale = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
-    h = 1e-5 * scale
-    probes = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        probes.append(pts + e)
-        probes.append(pts - e)
-    stack = np.vstack(probes)
-    phases = asymptotic_phase(model, cycle, stack)
-    values = np.empty((m, dim))
-    for i in range(dim):
-        plus = phases[2 * i * m:(2 * i + 1) * m]
-        minus = phases[(2 * i + 1) * m:(2 * i + 2) * m]
-        values[:, i] = _circ_diff(plus, minus) / (2.0 * h)
-    return _normalized_sensitivity(model, cycle, values)
+    h = 1e-5 * max(1.0, float(np.linalg.norm(pts, axis=1).max()))
+    # stack rows: pts + h e_0, pts - h e_0, pts + h e_1, ...
+    stack = np.concatenate([pts + sign * e for e in h * np.eye(model.dim)
+                            for sign in (1.0, -1.0)])
+    phases = asymptotic_phase(model, cycle, stack).reshape(model.dim, 2, -1)
+    values = _circ_diff(phases[:, 0], phases[:, 1]) / (2.0 * h)
+    return _normalized_sensitivity(model, cycle, values.T.copy())
 
 
 def _normalized_sensitivity(model, cycle, values):

@@ -403,6 +403,36 @@ def test_fit_scaling_config_errors(tmp_path, capsys, config, field, message):
     assert message in json.loads(out)["message"]
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("sweep", {"d_omega": 0.02, "mu": -1}, "mu"),
+    ("sweep", {"d_omega": [0.02, 0.04], "mu": -1}, "mu"),
+    ("simulate", {"network": {"pair": "subharmonic", "epsilon": 0.05,
+                              "mu": -1}}, "network"),
+    ("sweep", {"d_omega": 0.02, "pair": "prescribed", "bracket": [0.01, 0.2],
+               "c2": 5}, "c2"),
+], ids=["sweep-mu", "sweep-mu-in-workers", "simulate-mu", "sweep-c2"])
+def test_pair_parameters_the_builders_reject_are_config_errors(
+        tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path, config)
+    rc, out = run_cli([command, "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    assert _config_error_field(out) == field
+
+
+@pytest.mark.parametrize("command, config", [
+    ("sweep", {"d_omega": 0.02, "rel_width": 0}),
+    ("sweep", {"d_omega": 0.02, "rel_width": -1}),
+    ("fit-scaling", {"d_omega_list": [0.02, 0.04], "rel_width": 0}),
+], ids=["sweep-zero", "sweep-negative", "fit-scaling-zero"])
+def test_rel_width_must_be_positive(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    rc, out = run_cli([command, "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    assert _config_error_field(out) == "rel_width"
+
+
 # ---------------------------------------------------------------------------
 # Fuzzed configs
 # ---------------------------------------------------------------------------
@@ -482,7 +512,9 @@ def test_fuzzed_configs_fail_cleanly(command, data):
 @pytest.mark.parametrize("command, config", [
     ("reduce", _FUZZ_BASE["reduce"]),
     ("prc", {"model": {"name": "spiral"}, "method": "finite_difference"}),
-], ids=["reduce", "prc-finite-difference"])
+    ("prc", {"model": {"name": "relaxation", "params": {"mu": 3.0}}}),
+    ("isochrons", {"model": {"name": "spiral"}}),
+], ids=["reduce", "prc-finite-difference", "prc-adjoint", "isochrons"])
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command,
                                                       config):
     cfg = write_config(tmp_path, config)

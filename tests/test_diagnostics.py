@@ -287,3 +287,13 @@ def test_subharmonic_bracket_tracks_the_square_root_law():
         ratio = subharmonic_bracket(d_big)[0] / subharmonic_bracket(d_small)[0]
         assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert SUBHARMONIC_WEIGHTS == (-2, 1)
+
+
+@pytest.mark.parametrize("rel_width", [0.0, -1.0, math.nan])
+def test_non_positive_rel_width_is_rejected_before_any_run(rel_width):
+    # rel_width 0 used to run all 60 bisections down to adjacent floats
+    def factory(eps):
+        raise AssertionError("a pair was built")
+
+    with pytest.raises(ValueError, match="rel_width"):
+        critical_coupling(factory, 0.001, 0.2, rel_width=rel_width)
