@@ -24,10 +24,11 @@ def main():
     print("=== 2:1 subharmonic locking threshold ===")
     print(f"detuning {d_omega}, scanning coupling in [{lo}, {hi}]")
 
-    factory = lambda e: pk.subharmonic_pair(d_omega, e)
-    strobe = pk.subharmonic_strobe(factory(lo))
+    # one spec serves every coupling strength the bisection tries
+    spec = pk.subharmonic_pair(d_omega, lo)
+    strobe = pk.subharmonic_strobe(spec)
     res = pk.critical_coupling(
-        factory, lo, hi, rel_width=0.05, t_sim=max(1500.0, 25.0 / d_omega),
+        spec, lo, hi, rel_width=0.05, t_sim=max(1500.0, 25.0 / d_omega),
         weights=pk.SUBHARMONIC_WEIGHTS, strobe_period=strobe,
         tol=(1e-6, 1e-8))
 

@@ -347,8 +347,12 @@ def _threshold_config(config):
         raise ConfigError("pair \"prescribed\" needs an explicit bracket",
                           field="bracket")
     rel_width = _num(config, "rel_width", 0.05)
-    if rel_width <= 0.0:
-        raise ConfigError("rel_width must be positive", field="rel_width")
+    t_sim = _num(config, "t_sim", None)
+    threshold = _num(config, "threshold", None)
+    for key, value in (("rel_width", rel_width), ("t_sim", t_sim),
+                       ("threshold", threshold)):
+        if value is not None and value <= 0.0:
+            raise ConfigError(f"{key} must be positive", field=key)
     return {
         "pair": pair,
         "bracket": bracket,
@@ -357,35 +361,36 @@ def _threshold_config(config):
                       SUBHARMONIC_KAPPA if pair == "subharmonic" else 1.0),
         "mu": _num(config, "mu", 1.0),
         "c2": _num(config, "c2", 1.0),
-        "t_sim": _num(config, "t_sim", None),
-        "threshold": _num(config, "threshold", None),
+        "t_sim": t_sim,
+        "threshold": threshold,
     }
-
-
-def _pair_factory(d_omega, tc):
-    """eps -> the configured pair at detuning d_omega."""
-    if tc["pair"] == "subharmonic":
-        return lambda eps: subharmonic_pair(d_omega, eps, mu=tc["mu"],
-                                            c2=tc["c2"], kappa=tc["kappa"])
-    return lambda eps: sl_prescribed_pair(d_omega, eps, kappa=tc["kappa"],
-                                          c2=tc["c2"])
 
 
 def _run_threshold(d_omega, tc):
     """Bisect the locking threshold at one detuning; returns the result."""
-    factory = _pair_factory(d_omega, tc)
-    if tc["pair"] == "subharmonic":
-        bracket = tc["bracket"] or subharmonic_bracket(d_omega)
+    subharmonic = tc["pair"] == "subharmonic"
+    bracket = tc["bracket"] or subharmonic_bracket(d_omega)
+    try:
+        if subharmonic:
+            spec = subharmonic_pair(d_omega, bracket[0], mu=tc["mu"],
+                                    c2=tc["c2"], kappa=tc["kappa"])
+        else:
+            spec = sl_prescribed_pair(d_omega, bracket[0], kappa=tc["kappa"],
+                                      c2=tc["c2"])
+    except ValueError as exc:
+        field = "mu" if subharmonic else "c2"
+        raise ConfigError(str(exc), field=field) from exc
+    t_sim = tc["t_sim"]
+    if subharmonic:
         weights = SUBHARMONIC_WEIGHTS
-        strobe = subharmonic_strobe(factory(bracket[0]))
-        # slow detunings need a proportionally longer verdict window
-        t_sim = tc["t_sim"] or max(1500.0, 25.0 / max(d_omega, 1e-12))
+        strobe = subharmonic_strobe(spec)
+        if t_sim is None:
+            # slow detunings need a proportionally longer verdict window
+            t_sim = max(1500.0, 25.0 / max(d_omega, 1e-12))
     else:
-        bracket = tc["bracket"]
         weights = (-1.0, 1.0)
         strobe = None
-        t_sim = tc["t_sim"]
-    return critical_coupling(factory, bracket[0], bracket[1],
+    return critical_coupling(spec, bracket[0], bracket[1],
                              rel_width=tc["rel_width"], t_sim=t_sim,
                              weights=weights, strobe_period=strobe,
                              tol=SWEEP_TOL, threshold=tc["threshold"])
@@ -404,12 +409,6 @@ _SWEEP_COLUMNS = ["d_omega", "epsilon", "S", "locked", "psi_star"]
 
 def _run_sweep(d_list, tc):
     """Thresholds for each detuning, in workers; (results dict, csv rows)."""
-    for d in d_list:   # a ConfigError raised in a worker loses its field
-        try:
-            _pair_factory(d, tc)((tc["bracket"] or subharmonic_bracket(d))[0])
-        except ValueError as exc:
-            field = "mu" if tc["pair"] == "subharmonic" else "c2"
-            raise ConfigError(str(exc), field=field) from exc
     results = pmap(lambda d: _run_threshold(d, tc), d_list)
     rows = []
     for d, res in zip(d_list, results):

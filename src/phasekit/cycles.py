@@ -302,29 +302,12 @@ _CROSSING_T_MAX = 200.0   # longest wait for a crossing while shooting
 _MAX_NEWTON = 50          # shooting's Newton iterations
 
 
-def _section_chart(x):
-    """Orthonormal basis of the section tangent space at x (columns)."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    h = 1e-7
-    grad = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        grad[i] = (float(_SECTION.s(x + e)) - float(_SECTION.s(x - e))) / (2 * h)
-    grad /= np.linalg.norm(grad)
-    # Complete grad to an orthonormal basis; drop the gradient direction.
-    basis = np.linalg.qr(np.column_stack([grad, np.eye(n)]))[0]
-    return grad, basis[:, 1:n]
-
-
-def _reproject_to_section(x, grad):
+def _onto_section(x):
+    """A copy of x moved along e1 onto the section x[1] = 0 (an x[1]
+    already below 1e-12 in size is kept)."""
     x = np.array(x, dtype=float)
-    for _ in range(5):
-        val = float(_SECTION.s(x))
-        if abs(val) < 1e-12:
-            break
-        x -= val * grad
+    if abs(x[1]) >= 1e-12:
+        x[1] = 0.0
     return x
 
 
@@ -361,7 +344,8 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     # Land on the section first.
     _, x_sec = find_crossing(model, guess, _SECTION, _CROSSING_T_MAX,
                              tol=ivp_tol)
-    grad, chart = _section_chart(x_sec)
+    # the section's tangent space: every axis but e1
+    chart = np.delete(np.eye(len(x_sec)), 1, axis=1)
     n_chart = chart.shape[1]
     scale = max(1.0, float(np.linalg.norm(x_sec)))
     fd_step = 1e-6 * scale
@@ -381,9 +365,9 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
         jac = np.empty((n_chart, n_chart))
         for j in range(n_chart):
             dx = chart[:, j] * fd_step
-            _, xp = find_crossing(model, _reproject_to_section(x_base + dx, grad),
+            _, xp = find_crossing(model, _onto_section(x_base + dx),
                                   _SECTION, _CROSSING_T_MAX, tol=ivp_tol)
-            _, xm = find_crossing(model, _reproject_to_section(x_base - dx, grad),
+            _, xm = find_crossing(model, _onto_section(x_base - dx),
                                   _SECTION, _CROSSING_T_MAX, tol=ivp_tol)
             jac[:, j] = (chart.T @ (xp - xm)) / (2 * fd_step)
         jac = jac - np.eye(n_chart)
@@ -393,7 +377,7 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
                 "the orbit is not transversally hyperbolic"
             )
         step = np.linalg.solve(jac, -resid)
-        x_base = _reproject_to_section(x_base + chart @ step, grad)
+        x_base = _onto_section(x_base + chart @ step)
     if not converged:
         raise ShootingError(f"shooting did not converge in {_MAX_NEWTON} iterations")
 
@@ -407,7 +391,7 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
         if t_anchor > 0.0:
             anchor = _endpoint(lambda t, x: model.f(x), x_base,
                                (0.0, t_anchor), ivp_tol)
-            anchor = _reproject_to_section(anchor, grad)
+            anchor = _onto_section(anchor)
 
     # Sample one period from the anchor, uniformly in time.
     t_nodes = period * np.arange(grid_size) / grid_size

@@ -4,15 +4,15 @@ Lock detection works on a sampled phase difference series.  For forced or
 coupled systems the series should be sampled stroboscopically (once per
 nominal rotation) so that a locked state shows up as a flat tail; dense
 sampling carries the within-cycle wobble of the coupling and would swamp a
-tight flatness threshold.  `critical_coupling` runs that pipeline against a
-spec factory and bisects the locking threshold in the coupling strength.
+tight flatness threshold.  `critical_coupling` runs that pipeline on one
+network and bisects the locking threshold in its coupling strength.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -99,14 +99,21 @@ def sync_measure(times, phase_diff, transient_frac: float = 0.5,
                       threshold=float(threshold), drift=drift)
 
 
-def _strobe_times(spec: NetworkSpec, t_sim: Optional[float],
+def _check_positive(**values):
+    """ValueError for any value given that is not > 0 (NaN included)."""
+    for name, value in values.items():
+        if value is not None and not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _strobe_times(spec: NetworkSpec, epsilon: float, t_sim: Optional[float],
                   strobe_period: Optional[float]):
     """(t_eval, omega_ref): the stroboscopic sample times of one run."""
     omega_ref = float(min(c.omega0 for c in spec.cycles()))
     if strobe_period is None:
         strobe_period = TWO_PI / omega_ref
     if t_sim is None:
-        eps = abs(spec.epsilon)
+        eps = abs(epsilon)
         t_sim = max(10.0 / eps if eps > 0.0 else 500.0, 500.0)
     n = max(int(np.floor(t_sim / strobe_period)), 8)
     return strobe_period * np.arange(n + 1), omega_ref
@@ -134,9 +141,11 @@ def lock_psi_series(spec: NetworkSpec, t_sim: Optional[float] = None,
 
     on the unwrapped node phases.  The default weights give the plain phase
     difference; integer weights like (-2, 1) track a p:q resonance
-    combination instead.
+    combination instead.  A t_sim or strobe_period that is given must be
+    positive (else ValueError).
     """
-    t_eval, omega_ref = _strobe_times(spec, t_sim, strobe_period)
+    _check_positive(t_sim=t_sim, strobe_period=strobe_period)
+    t_eval, omega_ref = _strobe_times(spec, spec.epsilon, t_sim, strobe_period)
     traj = simulate_full(spec, (0.0, float(t_eval[-1])), t_eval=t_eval,
                          tol=_LOCK_TOL)
     return t_eval, _slow_phase(spec, traj, weights), omega_ref
@@ -185,8 +194,7 @@ def _bisection_tree(lo: float, hi: float, rel_width: float, depth: int):
         level = below
 
 
-def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
-                      eps_lo: float, eps_hi: float,
+def critical_coupling(spec: NetworkSpec, eps_lo: float, eps_hi: float,
                       rel_width: float = 0.05,
                       t_sim: Optional[float] = None,
                       weights=(-1.0, 1.0),
@@ -195,15 +203,16 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
                       threshold: Optional[float] = None) -> CriticalCouplingResult:
     """Bisect the smallest coupling strength that phase-locks a network.
 
-    spec_factory(eps) builds the network at coupling strength eps; it may
-    vary nothing but epsilon.  Every run starts from phase zero on the node
+    Every run is spec at its own epsilon (spec.epsilon is not read) and
+    shares the spec's node cycles.  It starts from phase zero on the node
     cycles, and its verdict is `sync_measure`, with its default transient,
     on the slow phase of nodes 0 and 1 as `lock_psi_series` forms it.  The
     endpoints must straddle the transition: a locked lower endpoint raises
     CouplingRangeError(side="below"), an unlocked upper endpoint
     side="above".  Bisection stops when the bracket is narrower than
-    rel_width (> 0, else ValueError) relative to its midpoint, or after
-    `_MAX_BISECTIONS` = 60 steps.
+    rel_width relative to its midpoint, or after `_MAX_BISECTIONS` = 60
+    steps.  rel_width, and t_sim, strobe_period and threshold when given,
+    must be positive; otherwise ValueError is raised before any run.
 
     The runs are integrated speculatively.  Because the stopping rule
     depends only on the bracket, the endpoints and every midpoint the
@@ -218,26 +227,25 @@ def critical_coupling(spec_factory: Callable[[float], NetworkSpec],
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
-    if not rel_width > 0.0:
-        raise ValueError(f"rel_width must be positive, got {rel_width!r}")
+    _check_positive(rel_width=rel_width, t_sim=t_sim,
+                    strobe_period=strobe_period, threshold=threshold)
     reports = {}
-    runs = {}          # eps -> (spec, t_eval, omega_ref, trajectory)
+    runs = {}          # eps -> (t_eval, omega_ref, trajectory)
 
     def integrate(members):
-        specs = [spec_factory(eps) for eps in members]
-        grids = [_strobe_times(spec, t_sim, strobe_period) for spec in specs]
+        grids = [_strobe_times(spec, eps, t_sim, strobe_period)
+                 for eps in members]
         # members share a strobe, so each grid is a prefix of the longest
         t_eval = max((g[0] for g in grids), key=len)
-        trajs = simulate_ensemble(specs, (0.0, float(t_eval[-1])),
+        trajs = simulate_ensemble(spec, members, (0.0, float(t_eval[-1])),
                                   t_eval=t_eval, tol=tol)
-        for eps, spec, (times, omega_ref), traj in zip(members, specs, grids,
-                                                       trajs):
+        for eps, (times, omega_ref), traj in zip(members, grids, trajs):
             m = len(times)
-            runs[eps] = (spec, times, omega_ref, NetworkTrajectory(
+            runs[eps] = (times, omega_ref, NetworkTrajectory(
                 times=traj.times[:m], states=traj.states[:m]))
 
     def classify(eps: float) -> SyncReport:
-        spec, times, omega_ref, traj = runs.pop(eps)
+        times, omega_ref, traj = runs.pop(eps)
         psi = _slow_phase(spec, traj, weights)
         rep = sync_measure(times, psi, natural_freq=omega_ref,
                            threshold=threshold)

@@ -16,7 +16,7 @@ as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
 Independent work runs in forked worker processes (`_parallel.pmap`):
-shooting the distinct uncached node models, the adjoint of each distinct
+shooting the distinct node models of a spec, the adjoint of each distinct
 cycle, settling the nodes that have no closed-form phase, and in
 `compare_full_vs_reduced` the phase-model build next to the full run.  A
 map inside a worker runs serially there.  Each piece is the serial
@@ -60,7 +60,6 @@ __all__ = [
     "subharmonic_pair",
     "subharmonic_strobe",
     "subharmonic_bracket",
-    "get_cycle",
     "SUBHARMONIC_KAPPA",
     "SUBHARMONIC_WEIGHTS",
 ]
@@ -207,21 +206,19 @@ class NetworkSpec:
                (self.c is None or not np.any(self.c))
 
     def cycles(self) -> list:
-        """Limit cycle per node (cached; equal built-in models share one)."""
+        """Limit cycle per node; the spec shoots each distinct model once,
+        in workers, and keeps the cycles.  Equal built-in models share one
+        cycle; custom models are told apart by identity."""
         if self._cycles is None:
-            _fill_cycle_cache(self.models)
-            self._cycles = [_CYCLE_CACHE[_cycle_cache_key(mdl)][1]
-                            for mdl in self.models]
+            distinct = {}
+            for model in self.models:
+                distinct.setdefault(_model_key(model), model)
+            shot = dict(zip(distinct, pmap(_shoot, distinct.values())))
+            self._cycles = [shot[_model_key(m)] for m in self.models]
         return self._cycles
 
 
-# key -> (model, cycle).  Built-in models are value-identified so repeated
-# sweep factories reuse cycles; custom models fall back to object identity,
-# and the entry holds the model so that its id is not reused while cached.
-_CYCLE_CACHE: dict = {}
-
-
-def _cycle_cache_key(model: OscillatorModel):
+def _model_key(model: OscillatorModel):
     if model.name == "custom":
         return ("custom", id(model))
     return (model.name, tuple(sorted(model.params.items())))
@@ -234,17 +231,6 @@ def _shoot(model: OscillatorModel) -> LimitCycle:
     # budget of the vanishing-coupling checks
     return find_limit_cycle(model, _default_guess(model), tol=1e-12,
                             ivp_tol=(1e-12, 1e-14))
-
-
-def _fill_cycle_cache(models) -> None:
-    """Shoot every distinct uncached model, the models spread over workers."""
-    todo = {}
-    for model in models:
-        key = _cycle_cache_key(model)
-        if key not in _CYCLE_CACHE:
-            todo.setdefault(key, model)
-    for (key, model), cycle in zip(todo.items(), pmap(_shoot, todo.values())):
-        _CYCLE_CACHE[key] = (model, cycle)
 
 
 def _prescribed(spec: NetworkSpec, i: int) -> Optional[Callable]:
@@ -409,29 +395,18 @@ class NetworkTrajectory:
     phases: Optional[np.ndarray] = None   # (n_samples, N) unwrapped
 
 
-def _same_network(p: NetworkSpec, q: NetworkSpec) -> bool:
-    """Whether two specs differ at most in epsilon (models by value)."""
-    def same(u, v):
-        return (u is None) == (v is None) and (u is None or np.array_equal(u, v))
-
-    return ([_cycle_cache_key(m) for m in p.models]
-            == [_cycle_cache_key(m) for m in q.models]
-            and p.coupling == q.coupling
-            and all(same(getattr(p, k), getattr(q, k)) for k in "abc")
-            and (p.nu1, p.nu2) == (q.nu1, q.nu2))
-
-
-def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
+def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
                       t_eval=None, tol=(1e-9, 1e-11)) -> list:
-    """Integrate K copies of one network, differing only in epsilon, at once.
+    """Integrate one network at K coupling strengths at once.
 
-    The members are stacked into one (K, N, dim) state and handed to the
-    solver as a single system: every node model is evaluated once per RHS
-    call across the K axis, and the coupling operator once on the whole
-    stack, scaled by a (K, 1, 1) epsilon.  All members start from the same
-    state, the node cycles at phases theta0 (zeros unless given), and are
-    sampled at the same times.  Returns one NetworkTrajectory per spec, in
-    order.
+    spec.epsilon is not read: member k runs at epsilons[k], a nonempty 1-d
+    list of finite numbers (else ValueError).  The members are stacked into
+    one (K, N, dim) state and handed to the solver as a single system: every
+    node model is evaluated once per RHS call across the K axis, and the
+    coupling operator once on the whole stack, scaled by a (K, 1, 1)
+    epsilon.  All members start from the same state, the node cycles at
+    phases theta0 (zeros unless given), and are sampled at the same times.
+    Returns one NetworkTrajectory per epsilon, in order.
 
     The solver accepts a step when the RMS of the scaled error over all
     K*N*dim components is at most 1, which dilutes one member's error as K
@@ -441,14 +416,12 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
     exactly the test a solo run applies.  Every member is at least as
     accurate as it would be alone, and K = 1 is the solo run.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("an ensemble needs at least one network spec")
-    spec = specs[0]
-    if not all(_same_network(spec, other) for other in specs[1:]):
-        raise ValueError("ensemble members must share models, adjacency and "
-                         "coupling; only epsilon may differ")
-    k, n = len(specs), spec.n_nodes
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1 or not eps.size or not np.all(np.isfinite(eps)):
+        raise ValueError("epsilons must be a nonempty 1-d list of finite "
+                         "numbers")
+    eps = eps[:, None, None]
+    k, n = len(eps), spec.n_nodes
     dims = [m.dim for m in spec.models]
     if len(set(dims)) != 1:
         raise ValueError("mixed state dimensions are not supported")
@@ -459,7 +432,6 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
     fields = [m.f_batch for m in spec.models]
     coupling = spec.coupling_operator()
     static = spec.has_static_adjacency()
-    eps = np.array([s.epsilon for s in specs], dtype=float)[:, None, None]
 
     def rhs(t, y):
         x = y.reshape(k, n, dim)
@@ -481,15 +453,15 @@ def simulate_ensemble(specs: Sequence[NetworkSpec], t_span, theta0=None,
 
 def simulate_full(spec: NetworkSpec, t_span, theta0=None,
                   t_eval=None, tol=(1e-9, 1e-11)) -> NetworkTrajectory:
-    """Integrate the coupled network.
+    """Integrate the coupled network at spec.epsilon.
 
     The nodes start on their cycles at phases theta0 (zeros unless given).
     This is the one-member ensemble of `simulate_ensemble`, whose sqrt(K)
     tolerance rule leaves tol unchanged at K = 1, so solo and stacked runs
     share one integration path.
     """
-    return simulate_ensemble([spec], t_span, theta0=theta0, t_eval=t_eval,
-                             tol=tol)[0]
+    return simulate_ensemble(spec, [spec.epsilon], t_span, theta0=theta0,
+                             t_eval=t_eval, tol=tol)[0]
 
 
 def simulate_phase_model(pm: PhaseModel, theta0, t_span,
@@ -641,12 +613,6 @@ SUBHARMONIC_KAPPA = 5.3
 SUBHARMONIC_WEIGHTS = (-2.0, 1.0)
 
 
-def get_cycle(model: OscillatorModel) -> LimitCycle:
-    """Limit cycle of a single model, via the shared network cycle cache."""
-    _fill_cycle_cache([model])
-    return _CYCLE_CACHE[_cycle_cache_key(model)][1]
-
-
 def subharmonic_pair(d_omega: float, epsilon: float, mu: float = 1.0,
                      c2: float = 1.0,
                      kappa: float = SUBHARMONIC_KAPPA) -> NetworkSpec:
@@ -664,15 +630,17 @@ def subharmonic_pair(d_omega: float, epsilon: float, mu: float = 1.0,
     a parity selection rule that kills every odd-weight slow term, which is
     precisely the first-order-reduction failure this pair demonstrates.
     kappa is calibrated so the threshold at d_omega = 0.02 sits near 0.05.
-    Track the slow combination with weights SUBHARMONIC_WEIGHTS.
+    Track the slow combination with weights SUBHARMONIC_WEIGHTS.  Both node
+    cycles are shot here, node 0 first for its frequency, and the spec
+    keeps them.
     """
     node0 = make_model("relaxation", mu=mu)
-    omega0 = get_cycle(node0).omega0
-    node1 = make_model("stuart_landau", omega=2.0 * omega0 + d_omega + c2,
-                       c2=c2)
+    cycle0 = _shoot(node0)
+    node1 = make_model("stuart_landau",
+                       omega=2.0 * cycle0.omega0 + d_omega + c2, c2=c2)
     a = np.array([[0.0, kappa], [0.0, 0.0]])
     return NetworkSpec(models=[node0, node1], epsilon=epsilon, a=a,
-                       coupling="direct")
+                       coupling="direct", _cycles=[cycle0, _shoot(node1)])
 
 
 def subharmonic_strobe(spec: NetworkSpec) -> float:

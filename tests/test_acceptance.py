@@ -49,10 +49,10 @@ def threshold_sweep():
     """Critical coupling of the 2:1 pair at each detuning (run once)."""
     def threshold(d):
         lo, hi = subharmonic_bracket(d)
-        factory = lambda e: subharmonic_pair(d, e)
-        strobe = subharmonic_strobe(factory(lo))
+        spec = subharmonic_pair(d, lo)
+        strobe = subharmonic_strobe(spec)
         t_sim = max(1500.0, 25.0 / d)
-        return critical_coupling(factory, lo, hi, rel_width=0.05,
+        return critical_coupling(spec, lo, hi, rel_width=0.05,
                                  t_sim=t_sim, weights=SUBHARMONIC_WEIGHTS,
                                  strobe_period=strobe, tol=(1e-6, 1e-8))
 

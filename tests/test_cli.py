@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import phasekit
 import phasekit._parallel as parallel
 from phasekit.cli import main
+from phasekit.output import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -420,17 +422,56 @@ def test_pair_parameters_the_builders_reject_are_config_errors(
     assert _config_error_field(out) == field
 
 
-@pytest.mark.parametrize("command, config", [
-    ("sweep", {"d_omega": 0.02, "rel_width": 0}),
-    ("sweep", {"d_omega": 0.02, "rel_width": -1}),
-    ("fit-scaling", {"d_omega_list": [0.02, 0.04], "rel_width": 0}),
-], ids=["sweep-zero", "sweep-negative", "fit-scaling-zero"])
-def test_rel_width_must_be_positive(tmp_path, capsys, command, config):
+@pytest.mark.parametrize("command, config, field", [
+    ("sweep", {"d_omega": 0.02, "rel_width": 0}, "rel_width"),
+    ("sweep", {"d_omega": 0.02, "rel_width": -1}, "rel_width"),
+    ("fit-scaling", {"d_omega_list": [0.02, 0.04], "rel_width": 0},
+     "rel_width"),
+    # a negative t_sim used to run 8 strobe periods and report an eps_c,
+    # and t_sim 0 silently meant the default
+    ("sweep", {"d_omega": 0.02, "t_sim": -5}, "t_sim"),
+    ("sweep", {"d_omega": 0.02, "t_sim": 0}, "t_sim"),
+    ("fit-scaling", {"d_omega_list": [0.02, 0.04], "t_sim": 0}, "t_sim"),
+    # a negative threshold used to fail as a computation (exit 1)
+    ("sweep", {"d_omega": 0.02, "threshold": -1}, "threshold"),
+    ("fit-scaling", {"d_omega_list": [0.02, 0.04], "threshold": 0},
+     "threshold"),
+], ids=["sweep-zero", "sweep-negative", "fit-scaling-zero",
+        "sweep-t_sim-negative", "sweep-t_sim-zero", "fit-scaling-t_sim-zero",
+        "sweep-threshold-negative", "fit-scaling-threshold-zero"])
+def test_rel_width_must_be_positive(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, config)
     rc, out = run_cli([command, "--config", cfg, "--out", tmp_path / "o"],
                       capsys)
     assert rc == 2
-    assert _config_error_field(out) == "rel_width"
+    assert _config_error_field(out) == field
+
+
+def test_sweep_shoots_each_node_of_its_pair_once(tmp_path, capsys,
+                                                 monkeypatch):
+    import phasekit.network as network
+
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
+    shot = []
+    real = network._shoot
+
+    def shoot(model):
+        shot.append(model.name)
+        return real(model)
+
+    monkeypatch.setattr(network, "_shoot", shoot)
+    cfg = write_config(tmp_path, {"d_omega": 0.02})
+    rc, _ = run_cli(["sweep", "--config", cfg, "--out", tmp_path / "o"],
+                    capsys)
+    assert rc == 0
+    assert shot == ["relaxation", "stuart_landau"]
+
+
+def test_config_error_keeps_its_field_through_pickle():
+    # how a ConfigError raised in a sweep worker reaches the parent
+    err = pickle.loads(pickle.dumps(ConfigError("bad mu", field="mu")))
+    assert type(err) is ConfigError
+    assert (str(err), err.field) == ("bad mu", "mu")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import phasekit.diagnostics as diag
+import phasekit.network as network
 from phasekit import (
     CouplingRangeError,
     NetworkSpec,
@@ -123,20 +124,19 @@ def test_resonance_weights_select_the_slow_combination():
 def test_bracket_endpoints_must_straddle_the_transition():
     d_omega = 0.02
     # first-order threshold for this pair sits near d_omega / 2 = 0.01
+    spec = detuned_sl_pair(d_omega, 0.0)
     with pytest.raises(CouplingRangeError) as info:
-        critical_coupling(lambda e: detuned_sl_pair(d_omega, e),
-                          0.02, 0.05, t_sim=150.0)
+        critical_coupling(spec, 0.02, 0.05, t_sim=150.0)
     assert info.value.side == "below"
     with pytest.raises(CouplingRangeError) as info:
-        critical_coupling(lambda e: detuned_sl_pair(d_omega, e),
-                          0.001, 0.004, t_sim=150.0)
+        critical_coupling(spec, 0.001, 0.004, t_sim=150.0)
     assert info.value.side == "above"
 
 
 def test_bisection_finds_the_first_order_threshold():
     d_omega = 0.02
-    res = critical_coupling(lambda e: detuned_sl_pair(d_omega, e),
-                            0.004, 0.04, rel_width=0.25, t_sim=300.0)
+    res = critical_coupling(detuned_sl_pair(d_omega, 0.0), 0.004, 0.04,
+                            rel_width=0.25, t_sim=300.0)
     assert 0.006 < res.eps_c < 0.016
     lo, hi = res.bracket
     assert lo < res.eps_c < hi
@@ -152,13 +152,12 @@ def analytic_ensemble(sizes):
     Nodes sit on their unit-circle cycles; a drifting member's second node
     runs ahead at the detuning d.  Records each stack's member count.
     """
-    def fake(specs, t_span, theta0=None, t_eval=None, tol=None, x0=None):
-        sizes.append(len(specs))
+    def fake(spec, epsilons, t_span, theta0=None, t_eval=None, tol=None):
+        sizes.append(len(epsilons))
+        d = spec.models[1].params["omega"] - spec.models[0].params["omega"]
         out = []
-        for spec in specs:
-            d = spec.models[1].params["omega"] - spec.models[0].params["omega"]
-            psi = np.zeros_like(t_eval) if spec.epsilon >= 0.5 * d \
-                else d * t_eval
+        for eps in epsilons:
+            psi = np.zeros_like(t_eval) if eps >= 0.5 * d else d * t_eval
             states = np.zeros((len(t_eval), 2, 2))
             states[:, 0, 0] = 1.0
             states[:, 1, 0] = np.cos(psi)
@@ -174,8 +173,8 @@ def test_bisection_threshold_grows_with_detuning(monkeypatch):
     monkeypatch.setattr(diag, "simulate_ensemble", analytic_ensemble(sizes))
     eps_c = {}
     for d in (0.01, 0.02, 0.04):
-        res = critical_coupling(lambda e: detuned_sl_pair(d, e),
-                                0.1 * d, 2.0 * d, rel_width=0.02)
+        res = critical_coupling(detuned_sl_pair(d, 0.0), 0.1 * d, 2.0 * d,
+                                rel_width=0.02)
         eps_c[d] = res.eps_c
         assert abs(res.eps_c - 0.5 * d) / (0.5 * d) < 0.05
     assert eps_c[0.01] < eps_c[0.02] < eps_c[0.04]
@@ -186,7 +185,7 @@ def test_stacks_stay_within_the_member_cap(monkeypatch):
     sizes = []
     monkeypatch.setattr(diag, "simulate_ensemble", analytic_ensemble(sizes))
     d = 0.02
-    res = critical_coupling(lambda e: detuned_sl_pair(d, e), 0.1 * d, 2.0 * d,
+    res = critical_coupling(detuned_sl_pair(d, 0.0), 0.1 * d, 2.0 * d,
                             rel_width=1e-8)
     assert diag.STACK_CAP == 32
     assert max(sizes) <= 32
@@ -221,7 +220,8 @@ def sequential_bisection(factory, lo, hi, rel_width, t_sim):
 def test_stacked_bisection_matches_sequential_bisection():
     d_omega = 0.02
     factory = lambda e: detuned_sl_pair(d_omega, e)
-    res = critical_coupling(factory, 0.004, 0.04, rel_width=0.1, t_sim=300.0)
+    res = critical_coupling(factory(0.0), 0.004, 0.04, rel_width=0.1,
+                            t_sim=300.0)
     eps_c, bracket, verdicts = sequential_bisection(
         factory, 0.004, 0.04, 0.1, t_sim=300.0)
     assert res.eps_c == eps_c
@@ -232,7 +232,7 @@ def test_stacked_bisection_matches_sequential_bisection():
 
 def test_invalid_bracket_is_rejected():
     with pytest.raises(ValueError, match="eps_lo"):
-        critical_coupling(lambda e: detuned_sl_pair(0.02, e), 0.05, 0.01)
+        critical_coupling(detuned_sl_pair(0.02, 0.0), 0.05, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +290,22 @@ def test_subharmonic_bracket_tracks_the_square_root_law():
 
 
 @pytest.mark.parametrize("rel_width", [0.0, -1.0, math.nan])
-def test_non_positive_rel_width_is_rejected_before_any_run(rel_width):
-    # rel_width 0 used to run all 60 bisections down to adjacent floats
-    def factory(eps):
-        raise AssertionError("a pair was built")
+def test_non_positive_rel_width_is_rejected_before_any_run(monkeypatch,
+                                                           rel_width):
+    # rel_width 0 used to run all 60 bisections down to adjacent floats, and
+    # a negative t_sim ran every member for the minimum 8 strobe periods
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cycle was shot or a network integrated")
 
+    monkeypatch.setattr(network, "_shoot", no_run)
+    monkeypatch.setattr(diag, "simulate_ensemble", no_run)
+    monkeypatch.setattr(diag, "simulate_full", no_run)
+    spec = detuned_sl_pair(0.02, 0.1)
     with pytest.raises(ValueError, match="rel_width"):
-        critical_coupling(factory, 0.001, 0.2, rel_width=rel_width)
+        critical_coupling(spec, 0.001, 0.2, rel_width=rel_width)
+    for name in ("t_sim", "strobe_period", "threshold"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            critical_coupling(spec, 0.001, 0.2, **{name: rel_width})
+    for name in ("t_sim", "strobe_period"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            lock_psi_series(spec, **{name: rel_width})

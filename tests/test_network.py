@@ -1,8 +1,5 @@
 """Coupled-network layer: specs, phase models, full-vs-reduced comparisons."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -12,7 +9,6 @@ from phasekit import (
     build_phase_model,
     compare_full_vs_reduced,
     flow,
-    get_cycle,
     lock_analysis,
     make_model,
     network_phases,
@@ -166,19 +162,21 @@ def test_ensemble_of_one_is_the_solo_run():
     t_eval = np.linspace(0.0, 40.0, 50)
     solo = simulate_full(spec, (0.0, 40.0), theta0=[0.2, 1.9], t_eval=t_eval,
                          tol=(1e-7, 1e-9))
-    [member] = simulate_ensemble([spec], (0.0, 40.0), theta0=[0.2, 1.9],
-                                 t_eval=t_eval, tol=(1e-7, 1e-9))
+    [member] = simulate_ensemble(spec, [spec.epsilon], (0.0, 40.0),
+                                 theta0=[0.2, 1.9], t_eval=t_eval,
+                                 tol=(1e-7, 1e-9))
     assert np.array_equal(member.times, solo.times)
     assert np.array_equal(member.states, solo.states)
 
 
 def test_ensemble_members_match_their_solo_runs():
     tol = (1e-7, 1e-9)
-    specs = [detuned_pair(eps) for eps in (0.0, 0.01, 0.03, 0.06, 0.12)]
+    epsilons = (0.0, 0.01, 0.03, 0.06, 0.12)
+    specs = [detuned_pair(eps) for eps in epsilons]
     t_eval = np.linspace(0.0, 30.0, 40)
     theta0 = [0.4, 2.5]
-    stacked = simulate_ensemble(specs, (0.0, 30.0), theta0=theta0,
-                                t_eval=t_eval, tol=tol)
+    stacked = simulate_ensemble(detuned_pair(1.0), epsilons, (0.0, 30.0),
+                                theta0=theta0, t_eval=t_eval, tol=tol)
     assert len(stacked) == len(specs)
     for spec, member in zip(specs, stacked):
         solo = simulate_full(spec, (0.0, 30.0), theta0=theta0, t_eval=t_eval,
@@ -194,21 +192,11 @@ def test_ensemble_members_match_their_solo_runs():
         assert err_member <= err_solo
 
 
-def test_ensemble_members_may_differ_only_in_epsilon():
-    base = detuned_pair(0.05)
-    # equal models built separately are the same network
-    simulate_ensemble([base, detuned_pair(0.1)], (0.0, 1.0))
-    other_model = detuned_pair(0.05, d_omega=0.08)
-    other_adjacency = NetworkSpec(models=base.models, epsilon=0.05,
-                                  a=np.array([[0.0, 2.0], [1.0, 0.0]]),
-                                  coupling="direct")
-    other_coupling = NetworkSpec(models=base.models, epsilon=0.05, a=base.a,
-                                 coupling="diffusive")
-    for other in (other_model, other_adjacency, other_coupling):
-        with pytest.raises(ValueError, match="only epsilon"):
-            simulate_ensemble([base, other], (0.0, 1.0))
-    with pytest.raises(ValueError, match="at least one"):
-        simulate_ensemble([], (0.0, 1.0))
+def test_ensemble_needs_finite_epsilons():
+    spec = detuned_pair(0.05)
+    for epsilons in ([], [0.05, np.nan], [np.inf], 0.05, [[0.05]]):
+        with pytest.raises(ValueError, match="nonempty 1-d list of finite"):
+            simulate_ensemble(spec, epsilons, (0.0, 1.0))
 
 
 def test_identical_nodes_stay_synchronized():
@@ -590,26 +578,63 @@ def test_comparison_needs_a_positive_horizon(sl_pair, horizon_mult):
         compare_full_vs_reduced(sl_pair, horizon_mult=horizon_mult)
 
 
-def test_cycle_cache_keeps_custom_models_alive(monkeypatch):
-    # a custom model is cached by id, so the cache must hold the model: once
-    # freed, its id could be reused and served this model's cycle
-    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
+def test_a_spec_shoots_each_distinct_model_once(monkeypatch):
+    import phasekit._parallel as parallel
+
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
     shot = []
     real_shoot = network._shoot
 
     def shoot(model):
-        shot.append(weakref.ref(model))
+        shot.append(model)
         return real_shoot(model)
 
     monkeypatch.setattr(network, "_shoot", shoot)
-    f = scalar_only_radial().f
-    model = make_model("custom", f=f, dim=2, basin_radius=1e-3)
-    cycle = get_cycle(model)
-    alive = weakref.ref(model)
-    del model
-    gc.collect()
-    assert alive() is not None
-    twin = make_model("custom", f=f, dim=2, basin_radius=1e-3)
-    assert twin == alive() and twin is not alive()
-    assert get_cycle(twin) is not cycle
-    assert len(shot) == 2 and shot[1]() is twin
+    custom = scalar_only_radial()
+
+    def spec():
+        # equal built-ins share a cycle; custom models go by identity
+        models = [make_model("stuart_landau", omega=2.0, c2=1.0), custom,
+                  make_model("stuart_landau", omega=2.0, c2=1.0), custom,
+                  scalar_only_radial()]
+        return NetworkSpec(models=models, epsilon=0.1, a=np.zeros((5, 5)))
+
+    first, second = spec(), spec()
+    cycles = first.cycles()
+    assert len(shot) == 3
+    assert cycles[0] is cycles[2] and cycles[1] is cycles[3]
+    assert len({id(c) for c in cycles}) == 3
+    assert first.cycles() is cycles
+    # a second spec of equal models shoots its own cycles, to the same bits
+    again = second.cycles()
+    assert len(shot) == 6
+    for mine, theirs in zip(again, cycles):
+        assert mine is not theirs
+        np.testing.assert_array_equal(mine.points, theirs.points)
+
+
+def test_prescribed_sensitivity_as_real_vectors():
+    base = sl_prescribed_pair(0.02, 0.1)
+    z_curve = base.prescribed_sensitivity[0]
+
+    def rows(th):                       # (M, dim)
+        z = z_curve(th)
+        return np.stack([z.real, z.imag], axis=-1)
+
+    def with_curve(curve):
+        return NetworkSpec(models=base.models, epsilon=base.epsilon, a=base.a,
+                           coupling=base.coupling,
+                           prescribed_sensitivity=[curve, curve])
+
+    # the prescribed curve cancels the coupling, hence the warning
+    with pytest.warns(UserWarning, match="out of reach"):
+        want = build_phase_model(base)
+    for curve in (rows, lambda th: rows(th).T):
+        with pytest.warns(UserWarning, match="out of reach"):
+            got = build_phase_model(with_curve(curve))
+        assert got.prescribed
+        assert set(got.edges) == set(want.edges)
+        for key, cf in want.edges.items():
+            np.testing.assert_array_equal(got.edges[key].values, cf.values)
+    with pytest.raises(ValueError, match="unexpected shape"):
+        build_phase_model(with_curve(lambda th: np.zeros(3)))

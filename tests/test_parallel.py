@@ -192,9 +192,8 @@ RING = {
 
 
 def run_cli(monkeypatch, capsys, tmp_path, workers, command, config):
-    """Run one CLI command with a cold cycle cache; (rc, stdout, out dir)."""
+    """Run one CLI command; (rc, stdout, out dir)."""
     force_workers(monkeypatch, workers)
-    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / f"out-{workers}"
@@ -224,6 +223,24 @@ def test_cli_bytes_do_not_depend_on_the_worker_count(
         outputs[workers] = output_bytes(out)
     assert outputs[1] == outputs[2]
     assert executors == [2] * pools
+
+
+def test_simulate_shoots_each_distinct_model_once(monkeypatch, capsys,
+                                                  tmp_path):
+    shot = []
+    real = network._shoot
+
+    def shoot(model):
+        shot.append(repr((model.name, sorted(model.params.items()))))
+        return real(model)
+
+    monkeypatch.setattr(network, "_shoot", shoot)
+    for _ in range(2):
+        rc, _, _ = run_cli(monkeypatch, capsys, tmp_path, 1, "simulate", RING)
+        assert rc == 0
+    # each run builds its own spec, which shoots the ring's 3 distinct models
+    assert len(shot) == 6
+    assert sorted(shot[:3]) == sorted(shot[3:]) and len(set(shot)) == 3
 
 
 def one_json_line(stdout):
@@ -281,9 +298,8 @@ def ring_spec():
 
 
 def compare_ring(monkeypatch, workers):
-    """compare_full_vs_reduced on the ring with a cold cycle cache."""
+    """compare_full_vs_reduced on the ring."""
     force_workers(monkeypatch, workers)
-    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
     return compare_full_vs_reduced(ring_spec(), horizon_mult=0.2,
                                    theta0=[0.3, 1.9, 4.0, 5.5], n_samples=20)
 
@@ -317,7 +333,6 @@ def test_failing_phase_model_branch_is_the_serial_failure(monkeypatch):
 def test_phase_model_branch_warning_reaches_the_parent(monkeypatch,
                                                        executors):
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(network, "_CYCLE_CACHE", {})
     with pytest.warns(UserWarning, match="out of reach"):
         report = compare_full_vs_reduced(sl_prescribed_pair(0.02, 0.2),
                                          horizon_mult=0.5, n_samples=20)

@@ -201,6 +201,20 @@ def test_asymptotic_phase_of_an_empty_stack(spiral_cycle):
     assert theta.shape == (0,)
 
 
+def test_states_that_miss_the_settle_budget_raise(monkeypatch, spiral_cycle):
+    m, cyc = spiral_cycle
+    monkeypatch.setattr(phase, "_settle_budget", lambda cycle: 1)
+    # the on-cycle state (1, 0) settles; the two off-cycle states cannot
+    # come within 1e-9 of the cycle in one period
+    states = np.array([[2.0, 0.0], [0.0, 0.5], [1.0, 0.0]])
+    with pytest.raises(pk.PhaseConvergenceError,
+                       match=r"^2 state\(s\) did not settle to the cycle "
+                             r"within 1 periods") as info:
+        pk.asymptotic_phase(m, cyc, states)
+    worst = float(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
+    assert _SETTLED_DIST < worst < 1.0
+
+
 @pytest.mark.parametrize("n_points", [0, -3])
 def test_isochron_needs_at_least_one_point(radial_cycle, n_points):
     m, cyc = radial_cycle
