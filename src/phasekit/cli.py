@@ -52,10 +52,7 @@ __all__ = ["main"]
 SWEEP_TOL = (1e-6, 1e-8)
 
 
-def _num(node, key, default=None, context="", required=False):
-    if required and key not in node:
-        label = (context + "." if context else "") + key
-        raise ConfigError(f"missing required config key: {label}", field=label)
+def _num(node, key, default=None, context=""):
     value = get_typed(node, key, (int, float), default=default, context=context)
     return None if value is None else float(value)
 
@@ -132,7 +129,6 @@ def cmd_isochrons(config, args):
     check_keys(config, {"model", "thetas", "radial_range", "n_points",
                         "guess", "grid_size", "shooting_tol"}, {"model"}, "")
     model = _build_model(config["model"])
-    cycle = _cycle_for(model, config)
     thetas = _num_list(config, "thetas",
                        default=[0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     radial_range = _num_list(config, "radial_range", default=[0.3, 2.0])
@@ -142,6 +138,7 @@ def cmd_isochrons(config, args):
     n_points = get_typed(config, "n_points", (int,), default=100)
     if n_points < 1:
         raise ConfigError("n_points must be at least 1", field="n_points")
+    cycle = _cycle_for(model, config)
     sens = phase_sensitivity(model, cycle)
     rows = []
     residuals = {}
@@ -234,7 +231,7 @@ def _build_network(node):
                               "c2", "kappa"}, {"epsilon"}, "network")
             return sl_prescribed_pair(
                 d_omega=_num(node, "d_omega", 0.0, "network"),
-                epsilon=_num(node, "epsilon", context="network", required=True),
+                epsilon=_num(node, "epsilon", context="network"),
                 omega_mean=_num(node, "omega_mean", 2.0, "network"),
                 c2=_num(node, "c2", 1.0, "network"),
                 kappa=_num(node, "kappa", 1.0, "network"))
@@ -243,7 +240,7 @@ def _build_network(node):
                               "kappa"}, {"epsilon"}, "network")
             return subharmonic_pair(
                 d_omega=_num(node, "d_omega", 0.0, "network"),
-                epsilon=_num(node, "epsilon", context="network", required=True),
+                epsilon=_num(node, "epsilon", context="network"),
                 mu=_num(node, "mu", 1.0, "network"),
                 c2=_num(node, "c2", 1.0, "network"),
                 kappa=_num(node, "kappa", SUBHARMONIC_KAPPA, "network"))
@@ -271,7 +268,7 @@ def _build_network(node):
 
     return NetworkSpec(
         models=models,
-        epsilon=_num(node, "epsilon", context="network", required=True),
+        epsilon=_num(node, "epsilon", context="network"),
         a=matrix("a"), b=matrix("b"), c=matrix("c"),
         nu1=_num(node, "nu1", None, "network"),
         nu2=_num(node, "nu2", None, "network"),

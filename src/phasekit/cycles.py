@@ -81,6 +81,11 @@ class PeriodicInterpolant:
     and differentiation use the full Fourier representation, so interpolation
     is spectrally accurate for smooth data and reproduces samples at the nodes
     to roundoff.
+
+    The value and the derivative of order p are the real parts of one-sided
+    Fourier sums over k = 0..M/2 with weights w_k (i k)^p.  rfft of real
+    samples gives a Nyquist coefficient whose imaginary part is exactly 0,
+    so the real part of the k = M/2 term already is the pure cosine.
     """
 
     def __init__(self, values: np.ndarray):
@@ -100,15 +105,14 @@ class PeriodicInterpolant:
         self._k = np.arange(self.m // 2 + 1)    # harmonic numbers
 
     def _phases(self, theta):
+        theta = np.asarray(theta, dtype=float)
         return np.exp(1j * np.multiply.outer(theta, self._k))  # (..., K)
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self._value(self._phases(theta), theta)
+        return self._value(self._phases(theta))
 
     def derivative(self, theta, order: int = 1):
-        theta = np.asarray(theta, dtype=float)
-        return self._derivative(self._phases(theta), theta, order)
+        return self._derivative(self._phases(theta), order)
 
     def jet(self, theta):
         """(value, first, second derivative) at theta from one phase table.
@@ -116,13 +120,11 @@ class PeriodicInterpolant:
         Bit-identical to separate __call__ and derivative calls, at a third
         of the complex exponentials.
         """
-        theta = np.asarray(theta, dtype=float)
-        return self._jet(self._phases(theta), theta)
+        return self._jet(self._phases(theta))
 
-    def _jet(self, e, theta):
+    def _jet(self, e):
         """jet(theta) from e, the phase table of theta."""
-        return (self._value(e, theta), self._derivative(e, theta, 1),
-                self._derivative(e, theta, 2))
+        return self._value(e), self._derivative(e, 1), self._derivative(e, 2)
 
     @staticmethod
     def _product(e, w):
@@ -136,31 +138,13 @@ class PeriodicInterpolant:
                                       axis=-2)
         return e @ w
 
-    def _value(self, e, theta):
+    def _value(self, e):
         out = np.real(self._product(e, self._weights))
-        # Nyquist term must enter as a pure cosine for a real interpolant.
-        nyq = self._weights[-1].real
-        out += np.multiply.outer(
-            np.cos(theta * self._k[-1]) - np.real(e[..., -1]), nyq
-        )
         return out[..., 0] if self._scalar else out
 
-    def _derivative(self, e, theta, order):
-        w = self._weights * (1j * self._k[:, None]) ** order
-        out = np.real(self._product(e, w))
-        # d/dtheta of the Nyquist cosine, replacing the complex-exponential row.
-        kn = self._k[-1]
-        nyq = self._weights[-1].real
-        if order % 4 == 0:
-            tru = np.cos(theta * kn) * kn ** order
-        elif order % 4 == 1:
-            tru = -np.sin(theta * kn) * kn ** order
-        elif order % 4 == 2:
-            tru = -np.cos(theta * kn) * kn ** order
-        else:
-            tru = np.sin(theta * kn) * kn ** order
-        raw = np.real((1j * kn) ** order * e[..., -1])
-        out += np.multiply.outer(tru - raw, nyq)
+    def _derivative(self, e, order):
+        out = np.real(self._product(
+            e, self._weights * (1j * self._k[:, None]) ** order))
         return out[..., 0] if self._scalar else out
 
 
@@ -284,7 +268,7 @@ class LimitCycle:
         for step in range(4):
             if step:
                 e = interp._phases(theta)
-            g, dg, d2g = interp._jet(e, theta)
+            g, dg, d2g = interp._jet(e)
             res = ((pts - g) * dg).sum(axis=1)
             slope = -(dg * dg).sum(axis=1) + ((pts - g) * d2g).sum(axis=1)
             theta = theta - res / slope

@@ -70,7 +70,8 @@ def sync_measure(times, phase_diff, transient_frac: float = 0.5,
     from centered differences on the remaining tail, and S is their RMS.  A
     clean drift at rate d gives S = d; a locked tail gives S near zero.
     threshold defaults to 1e-3 times the natural frequency, making the test
-    dimensionally consistent.
+    dimensionally consistent; a threshold given must be positive (else
+    ValueError).
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(phase_diff, dtype=float)
@@ -78,6 +79,7 @@ def sync_measure(times, phase_diff, transient_frac: float = 0.5,
         raise ValueError("times and phase_diff must be matching 1-d arrays")
     if not 0.0 <= transient_frac < 1.0:
         raise ValueError("transient_frac must lie in [0, 1)")
+    _check_positive(threshold=threshold)
     k0 = int(np.floor(transient_frac * len(psi)))
     tail = psi[k0:]
     t_tail = times[k0:]

@@ -1,10 +1,12 @@
 """Planar limit-cycle oscillator models and forcing terms.
 
-Built-in models share the same skeleton: an exponentially stable limit cycle
-on the unit circle with Floquet exponent -2, and an excluded neighborhood of
-the origin where no asymptotic phase exists.  Each built-in carries closed-form
-oracles (asymptotic phase, phase response curve) used by the test suite; the
-numerical machinery never looks at them.
+The radial, spiral and Stuart-Landau built-ins share the same skeleton: an
+exponentially stable limit cycle on the unit circle with Floquet exponent -2,
+and an excluded neighborhood of the origin where no asymptotic phase exists.
+Each of them carries a closed-form asymptotic phase and phase response
+curve; the relaxation oscillator has neither.  The test suite uses both as
+oracles, and `network.network_phases` reads the asymptotic phase of every
+node that has one in place of settling its states numerically.
 
 Vector fields broadcast: ``f(x)`` accepts ``x`` of shape ``(..., dim)`` and
 returns the same shape.  Custom models may be scalar-only; set
@@ -63,10 +65,11 @@ class OscillatorModel:
         ``jacobian(x) -> (..., dim, dim)`` array; used by the adjoint and
         the Floquet exponent.  When absent, finite differences are used.
     analytic_phase : callable or None
-        Closed-form asymptotic phase ``x -> theta in [0, 2*pi)``; oracle only.
+        Closed-form asymptotic phase ``x -> theta in [0, 2*pi)``; a test
+        oracle, and the node phase ``network.network_phases`` reads.
     analytic_prc : callable or None
         Closed-form phase response curve ``theta -> Z`` (gradient of the
-        asymptotic phase on the cycle); oracle only.
+        asymptotic phase on the cycle); a test oracle only.
     params : mapping
         Model parameters, read-only.
     basin_radius : float or None

@@ -16,11 +16,11 @@ as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
 Independent work runs in forked worker processes (`_parallel.pmap`):
-shooting the distinct node models of a spec, the adjoint of each distinct
-cycle, settling the nodes that have no closed-form phase, and in
-`compare_full_vs_reduced` the phase-model build next to the full run.  A
-map inside a worker runs serially there.  Each piece is the serial
-computation, so the results do not depend on the worker count.
+shooting the distinct node models of a spec, settling the nodes that have
+no closed-form phase, and in `compare_full_vs_reduced` the phase-model
+build next to the full run.  A map inside a worker runs serially there.
+Each piece is the serial computation, so the results do not depend on the
+worker count.
 
 For planar oscillators read as complex numbers z = x + i y, the pairing
 between a sensitivity Z and a coupling term h is Re(conj(Z) * h), which is
@@ -243,14 +243,13 @@ def _adjoints(spec: NetworkSpec, cycles: list) -> dict:
     """id(cycle) -> adjoint samples for every cycle some node reads.
 
     Nodes share a cycle object only when their models are equal, so each
-    distinct cycle gets one adjoint; the adjoints run in worker processes.
+    distinct cycle gets one adjoint.
     """
-    todo = {}
+    adjoints = {}
     for i, cycle in enumerate(cycles):
-        if _prescribed(spec, i) is None:
-            todo.setdefault(id(cycle), (spec.models[i], cycle))
-    values = pmap(lambda task: phase_sensitivity(*task).values, todo.values())
-    return dict(zip(todo, values))
+        if _prescribed(spec, i) is None and id(cycle) not in adjoints:
+            adjoints[id(cycle)] = phase_sensitivity(spec.models[i], cycle).values
+    return adjoints
 
 
 def _sensitivity_values(spec: NetworkSpec, i: int, cycle: LimitCycle,
@@ -304,10 +303,10 @@ def build_phase_model(spec: NetworkSpec) -> PhaseModel:
     sensitivity with the coupling term around the cycles: every node cycle
     is shot on the same uniform 256-point grid, so the phase shift is an
     index roll and the average is a plain circulant sum, exact for
-    band-limited integrands.  The adjoints of the distinct node cycles are
-    computed in worker processes.  Time-varying adjacency entries are
-    reduced to constants with `mean_value` to `_ADJACENCY_MEAN_TOL` = 1e-6,
-    once per distinct (a_ij, b_ij, c_ij).
+    band-limited integrands.  Each distinct node cycle gets one adjoint.
+    Time-varying adjacency entries are reduced to constants with
+    `mean_value` to `_ADJACENCY_MEAN_TOL` = 1e-6, once per distinct
+    (a_ij, b_ij, c_ij).
     """
     cycles = spec.cycles()
     n = spec.n_nodes
@@ -388,6 +387,17 @@ def _edge_average(z_vals, pts_i, pts_j, h):
     return out
 
 
+def _start_phases(theta0, n: int) -> np.ndarray:
+    """theta0 as n finite node phases, zeros when None; else ValueError."""
+    if theta0 is None:
+        return np.zeros(n)
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (n,) or not np.all(np.isfinite(theta0)):
+        raise ValueError(f"theta0 must be a list of {n} finite phases, got "
+                         f"shape {theta0.shape}")
+    return theta0
+
+
 @dataclass
 class NetworkTrajectory:
     times: np.ndarray
@@ -405,8 +415,9 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
     node model is evaluated once per RHS call across the K axis, and the
     coupling operator once on the whole stack, scaled by a (K, 1, 1)
     epsilon.  All members start from the same state, the node cycles at
-    phases theta0 (zeros unless given), and are sampled at the same times.
-    Returns one NetworkTrajectory per epsilon, in order.
+    phases theta0 (zeros unless given; else n_nodes finite numbers, checked
+    before any cycle is shot), and are sampled at the same times.  Returns
+    one NetworkTrajectory per epsilon, in order.
 
     The solver accepts a step when the RMS of the scaled error over all
     K*N*dim components is at most 1, which dilutes one member's error as K
@@ -426,8 +437,8 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
     if len(set(dims)) != 1:
         raise ValueError("mixed state dimensions are not supported")
     dim = dims[0]
+    theta0 = _start_phases(theta0, n)
     cycles = spec.cycles()
-    theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
     x0 = np.stack([cycles[i].gamma_at(float(theta0[i])) for i in range(n)])
     fields = [m.f_batch for m in spec.models]
     coupling = spec.coupling_operator()
@@ -477,8 +488,8 @@ def simulate_phase_model(pm: PhaseModel, theta0, t_span,
 
 
 def _phase_rhs(pm: PhaseModel):
-    """The phase equations' rhs, all edges' qbar_ij evaluated at once from
-    their stacked Fourier weights (the Nyquist term a pure cosine, as in
+    """The phase equations' rhs, all edges' qbar_ij evaluated at once as the
+    real parts of their stacked one-sided Fourier sums (as in
     PeriodicInterpolant) and summed per node by bincount."""
     i, j = np.array(list(pm.edges), dtype=int).reshape(-1, 2).T
     gain = pm.epsilon * pm.a_eff[i, j]
@@ -489,8 +500,7 @@ def _phase_rhs(pm: PhaseModel):
     def rhs(t, th):
         psi = wrap_phase(th[j] - th[i])
         e = np.exp(1j * np.multiply.outer(psi, k))
-        qbar = np.real(np.sum(e * weights, axis=1)) + (
-            np.cos(psi * k[-1]) - np.real(e[:, -1])) * weights[:, -1].real
+        qbar = np.real(np.sum(e * weights, axis=1))
         return pm.Omega + np.bincount(i, weights=gain * qbar,
                                       minlength=pm.n_nodes)
 
@@ -539,9 +549,12 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
     """Run the full network and its phase model side by side.
 
     The horizon is horizon_mult / epsilon (one averaging time by default;
-    horizon_mult itself when epsilon is not positive), and horizon_mult must
-    be positive.  The full run's phases are aligned to the reduced run's
-    initial condition, and errors are circular distances per node and sample.
+    horizon_mult itself when epsilon is not positive), sampled at
+    n_samples times.  horizon_mult must be positive, n_samples at least 2
+    and theta0, when given, n_nodes finite numbers (else ValueError, before
+    any cycle is shot).  The full run's phases are aligned to the reduced
+    run's initial condition, and errors are circular distances per node and
+    sample.
 
     The node cycles are shot first; then the phase-model build and the
     full run (`simulate_full` at its default tol) with its node phases run
@@ -551,8 +564,9 @@ def compare_full_vs_reduced(spec: NetworkSpec, horizon_mult: float = 1.0,
     """
     if not horizon_mult > 0.0:
         raise ValueError(f"horizon_mult must be positive, got {horizon_mult!r}")
-    n = spec.n_nodes
-    theta0 = np.zeros(n) if theta0 is None else np.asarray(theta0, dtype=float)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples!r}")
+    theta0 = _start_phases(theta0, spec.n_nodes)
     eps = spec.epsilon
     horizon = horizon_mult / eps if eps > 0.0 else horizon_mult
     t_eval = np.linspace(0.0, horizon, n_samples)

@@ -208,7 +208,7 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
         t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
         return np.stack([integrand_at(float(t)) for t in t_arr])
 
-    vals = mean_value(g, t_max=2e5, tol=1e-7, _vector_ok=True)
+    vals = mean_value(g, t_max=2e5, tol=1e-7)
     return CouplingFunction(grid=psi, values=-np.asarray(vals),
                             provenance="mean_value")
 
@@ -226,7 +226,7 @@ def _gl_panel_nodes(a: float, b: float, panel: float):
 
 
 def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
-               panel: float = 1.0, _vector_ok: bool = False):
+               panel: float = 1.0):
     """Long-time mean of a bounded signal g(t) by geometrically growing windows.
 
     Window averages over [0, W], W = 64 * 2^k, are compared until two
@@ -272,7 +272,7 @@ def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
             # Two consecutive small spreads guard against an oscillatory tail
             # happening to line up across one doubling.
             if spread < tol and spread_prev is not None and spread_prev < tol:
-                return mean if (_vector_ok or np.ndim(mean)) else float(mean)
+                return mean if np.ndim(mean) else float(mean)
         prev_mean = mean
         window *= 2.0
     est = prev_mean if prev_mean is not None else np.nan

@@ -447,6 +447,77 @@ def test_rel_width_must_be_positive(tmp_path, capsys, command, config, field):
     assert _config_error_field(out) == field
 
 
+_MATRIX_NETWORK = {"models": [{"name": "radial"}, {"name": "radial"}],
+                   "epsilon": 0.05, "a": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("find-cycle", {"model": {"name": "radial"}, "guess": [1.5]}, "guess"),
+    ("isochrons", {"model": {"name": "radial"}, "radial_range": [2.0, 0.3]},
+     "radial_range"),
+    ("isochrons", {"model": {"name": "radial"}, "radial_range": [1.0, 1.0]},
+     "radial_range"),
+    ("prc", {"model": {"name": "radial"}, "method": "direct"}, "method"),
+    ("reduce", {"model": {"name": "radial"}, "forcing": {"omega": 0}},
+     "forcing.omega"),
+    ("reduce", {"model": {"name": "radial"}, "forcing": {"component": 2}},
+     "forcing.component"),
+    ("simulate", {"network": {"pair": "triad", "epsilon": 0.05}},
+     "network.pair"),
+    ("simulate", {"network": dict(_MATRIX_NETWORK, models=[])},
+     "network.models"),
+    ("simulate", {"network": dict(_MATRIX_NETWORK, a=[[0, "x"], ["y", 0]])},
+     "network.a"),
+    ("simulate", {"network": [_MATRIX_NETWORK]}, "network"),
+    ("sweep", {"d_omega": 0.02, "pair": "triad"}, "pair"),
+    ("sweep", {"d_omega": 0.02, "bracket": [0.1, 0.05]}, "bracket"),
+    ("sweep", {"d_omega": 0.02, "bracket": [0.05]}, "bracket"),
+    ("sweep", {"d_omega": 0.02, "pair": "prescribed"}, "bracket"),
+    ("sweep", {"d_omega": 0}, "d_omega"),
+    ("sweep", {"d_omega": [0.02, -0.01]}, "d_omega"),
+], ids=["guess-length", "radial-range-reversed", "radial-range-empty",
+        "prc-method", "forcing-omega", "forcing-component", "network-pair",
+        "network-no-models", "network-a-not-numeric", "network-not-object",
+        "sweep-pair", "sweep-bracket-reversed", "sweep-bracket-length",
+        "sweep-prescribed-without-bracket", "sweep-d_omega-zero",
+        "sweep-d_omega-negative"])
+def test_bad_config_values_name_their_field(tmp_path, capsys, command, config,
+                                            field):
+    cfg = write_config(tmp_path, config)
+    rc, out = run_cli([command, "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    assert _config_error_field(out) == field
+
+
+def test_simulate_runs_the_prescribed_pair(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "network": {"pair": "prescribed", "epsilon": 0.05, "d_omega": 0.02},
+        "horizon_mult": 0.1, "n_samples": 5})
+    # the prescribed curve's averaged coupling vanishes by design
+    with pytest.warns(UserWarning, match="out of reach"):
+        rc, out = run_cli(["simulate", "--config", cfg, "--out",
+                           tmp_path / "o"], capsys)
+    assert rc == 0, out
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["n_nodes"] == 2
+    assert summary["prescribed_sensitivity"] is True
+    assert summary["horizon"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_simulate_starts_from_an_explicit_theta0(tmp_path, capsys):
+    theta0 = [0.3, 2.0]
+    cfg = write_config(tmp_path, simulate_config(theta0))
+    rc, out = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 0, out
+    header, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+    first = dict(zip(header, rows[0]))
+    assert [first["theta_reduced_0"], first["theta_reduced_1"]] == theta0
+    for i, th in enumerate(theta0):
+        assert abs(first[f"theta_full_{i}"] - th) < 1e-6
+
+
 def test_sweep_shoots_each_node_of_its_pair_once(tmp_path, capsys,
                                                  monkeypatch):
     import phasekit.network as network

@@ -210,6 +210,53 @@ def test_interpolant_jet_matches_separate_calls_bitwise(values_shape):
         np.testing.assert_array_equal(d2g, interp.derivative(theta, order=2))
 
 
+def _trig_polynomial(m, d, rng):
+    """Coefficients (a, b), each (m/2 + 1, d), of a real trigonometric
+    polynomial sum_k a_k cos(k theta) + b_k sin(k theta) that an m-point
+    grid resolves: b_0 = 0 and, at the Nyquist harmonic k = m/2, b_N = 0
+    (sin(N theta) vanishes on the grid) but a_N is not."""
+    k = np.arange(m // 2 + 1)[:, None]
+    decay = 1.0 / (1.0 + k) ** 2
+    a = rng.normal(size=(len(k), d)) * decay
+    b = rng.normal(size=(len(k), d)) * decay
+    b[0] = b[-1] = 0.0
+    a[-1] = 0.5 + np.arange(d)
+    return a, b
+
+
+def _trig_derivative(a, b, theta, order):
+    """The order-th derivative of the polynomial _trig_polynomial describes,
+    at the phases theta, and the sum of its terms' magnitudes."""
+    k = np.arange(len(a))
+    arg = np.multiply.outer(theta, k) + order * math.pi / 2
+    scale = k ** float(order)
+    value = (np.cos(arg) * scale) @ a + (np.sin(arg) * scale) @ b
+    return value, (scale @ (np.abs(a) + np.abs(b))).max()
+
+
+@pytest.mark.parametrize("m", [8, 256])
+@pytest.mark.parametrize("d", [None, 3])
+def test_interpolant_nyquist_term_is_the_pure_cosine(m, d):
+    rng = np.random.default_rng(m)
+    a, b = _trig_polynomial(m, d or 1, rng)
+    grid = TWO_PI * np.arange(m) / m
+    samples = _trig_derivative(a, b, grid, 0)[0]
+    if d is None:
+        samples = samples[:, 0]
+    # real samples give a real Nyquist coefficient, bit for bit
+    assert np.all(np.fft.rfft(samples, axis=0)[-1].imag == 0.0)
+    interp = pk.PeriodicInterpolant(samples)
+    off_grid = grid[:-1] + rng.uniform(0.1, 0.9, m - 1) * TWO_PI / m
+    theta = np.concatenate([off_grid, rng.uniform(-20.0, 20.0, 200)])
+    for order in range(5):
+        got = interp(theta) if order == 0 else interp.derivative(theta, order)
+        want, scale = _trig_derivative(a, b, theta, order)
+        if d is None:
+            want = want[:, 0]
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 def _unblocked_project(cycle, pts):
     """LimitCycle.project as one pass over the whole stack."""
     d2 = ((pts[:, None, :] - cycle.points[None, :, :]) ** 2).sum(axis=2)

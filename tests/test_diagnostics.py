@@ -77,6 +77,14 @@ def test_sync_measure_rejects_malformed_series():
         sync_measure(t[:4], np.zeros(4), transient_frac=0.5)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_sync_measure_needs_a_positive_threshold(threshold):
+    # a flat series is locked under any positive threshold
+    t = np.linspace(0.0, 10.0, 50)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        sync_measure(t, np.full_like(t, 0.7), threshold=threshold)
+
+
 def test_threshold_scales_with_natural_frequency():
     t = np.linspace(0.0, 100.0, 501)
     psi = np.full_like(t, 1.0)

@@ -346,6 +346,25 @@ def test_find_crossing_never():
         pk.find_crossing(m, np.array([1.5, 0.0]), sec, t_max=30.0)
 
 
+def test_flow_and_crossing_take_a_time_dependent_rhs():
+    # a plain rhs(t, x) in place of a model: x' = cos t, y' = -y
+    def rhs(t, x):
+        return np.array([math.cos(t), -x[1]])
+
+    tol = (1e-10, 1e-12)
+    x = pk.flow(rhs, np.array([0.0, 1.0]), 1.3, tol=tol)
+    np.testing.assert_allclose(x, [math.sin(1.3), math.exp(-1.3)], atol=1e-8)
+    sec = Section(s=lambda x: x[0] - 0.5, direction=+1)
+    t_star, x_star = pk.find_crossing(rhs, np.array([0.0, 1.0]), sec,
+                                      t_max=10.0, tol=tol)
+    assert abs(t_star - math.pi / 6) < 1e-8
+    assert abs(x_star[1] - math.exp(-math.pi / 6)) < 1e-8
+    # from a start on the section, the rhs still sees the true time
+    t_star, _ = pk.find_crossing(rhs, np.array([0.5, 1.0]), sec,
+                                 t_max=10.0, tol=tol)
+    assert abs(t_star - 2 * math.pi) < 1e-8
+
+
 def test_direction_filtering():
     m = pk.make_model("radial")
     up = Section(s=lambda x: x[1], direction=+1)

@@ -530,31 +530,15 @@ def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
     for workers in (1, 2):
         monkeypatch.setattr(parallel, "_cpu_count", lambda w=workers: w)
         with monkeypatch.context() as mp:
-            if workers == 1:
-                # the serial loop runs in this process: count the adjoints
-                seen = []
+            # the adjoints run in this process at any worker count
+            seen = []
 
-                def counting(model, cycle, *args, **kwargs):
-                    seen.append(id(cycle))
-                    return phase_sensitivity(model, cycle, *args, **kwargs)
+            def counting(model, cycle, *args, **kwargs):
+                seen.append(id(cycle))
+                return phase_sensitivity(model, cycle, *args, **kwargs)
 
-                mp.setattr(network, "phase_sensitivity", counting)
-            else:
-                # forked workers hide their calls: count the cycles handed
-                # to the one map build_phase_model makes
-                maps = []
-
-                def recording(fn, items):
-                    items = list(items)
-                    maps.append(items)
-                    return parallel.pmap(fn, items)
-
-                mp.setattr(network, "pmap", recording)
-                seen = None
+            mp.setattr(network, "phase_sensitivity", counting)
             pm = build_phase_model(spec)
-        if seen is None:
-            assert len(maps) == 1
-            seen = [id(cycle) for _, cycle in maps[0]]
         assert len(seen) == calls == len(set(seen))
         assert pm.prescribed == prescribe_even
         built[workers] = pm
@@ -570,6 +554,39 @@ def test_build_phase_model_runs_one_adjoint_per_distinct_cycle(
             built[2].edges[(4, j)].values,
             network._edge_average(own, cycles[4].points, cycles[j].points,
                                   spec.coupling_fn()))
+
+
+def unshot_sl_pair(monkeypatch):
+    """A fresh two-node spec whose cycles may not be shot."""
+    def shoot(model):
+        raise AssertionError("a cycle was shot")
+
+    monkeypatch.setattr(network, "_shoot", shoot)
+    m = make_model("stuart_landau", omega=2.0, c2=1.0)
+    return NetworkSpec(models=[m, m], epsilon=0.05,
+                       a=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("theta0", [[0.0], [0.0, 1.0, 2.0], [np.nan, 0.0],
+                                    [[0.0, 1.0]]],
+                         ids=["short", "long", "nan", "matrix"])
+def test_bad_theta0_fails_before_shooting(monkeypatch, theta0):
+    spec = unshot_sl_pair(monkeypatch)
+    for run in (
+            lambda: simulate_full(spec, (0.0, 1.0), theta0=theta0),
+            lambda: simulate_ensemble(spec, [0.01, 0.02], (0.0, 1.0),
+                                      theta0=theta0),
+            lambda: compare_full_vs_reduced(spec, theta0=theta0)):
+        with pytest.raises(ValueError,
+                           match="theta0 must be a list of 2 finite"):
+            run()
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_comparison_needs_two_samples(monkeypatch, n_samples):
+    spec = unshot_sl_pair(monkeypatch)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        compare_full_vs_reduced(spec, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("horizon_mult", [0.0, -1.0])

@@ -142,6 +142,23 @@ def test_lock_analysis_zero_detuning():
     assert abs(unstable[0] - math.pi) < 1e-8
 
 
+def test_lock_analysis_of_coupling_samples():
+    grid = TWO_PI * np.arange(64) / 64
+    res = lock_analysis(0.5, 1.0, -np.sin(grid))
+    stable = [p for p, s in res.fixed_points if s]
+    unstable = [p for p, s in res.fixed_points if not s]
+    assert abs(stable[0] - math.asin(0.5)) < 1e-8
+    assert abs(unstable[0] - (math.pi - math.asin(0.5))) < 1e-8
+
+
+@pytest.mark.parametrize("delta, locked", [(0.0, True), (0.3, False)])
+def test_lock_analysis_without_coupling(delta, locked):
+    res = lock_analysis(delta, 0.0, lambda psi: -np.sin(psi))
+    assert res.locked == locked
+    assert res.fixed_points == []
+    assert res.condition_value == math.inf
+
+
 def test_lock_analysis_out_of_range():
     res = lock_analysis(1.4, 1.0, lambda psi: -np.sin(psi))
     assert not res.locked
