@@ -93,6 +93,9 @@ def _cycle_for(model, node):
     elif len(guess) != model.dim:
         raise ConfigError(f"guess must have {model.dim} entries", field="guess")
     tol = _num(node, "shooting_tol", default=1e-10)
+    if not tol > 0.0:
+        raise ConfigError("config key shooting_tol must be positive",
+                          field="shooting_tol")
     return find_limit_cycle(model, guess, tol=tol, grid_size=grid_size)
 
 

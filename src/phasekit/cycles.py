@@ -315,13 +315,16 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     ShootingError when Newton stalls or the return map has a unit
     multiplier, UnstableCycleError when the orbit's nontrivial Floquet
     exponent is nonnegative, FloatingPointError when that exponent cannot be
-    resolved (see floquet_exponent), and ValueError when grid_size is not a
-    positive even integer.
+    resolved (see floquet_exponent), and ValueError, before any
+    integration, when grid_size is not a positive even integer or tol is not
+    positive.
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size > 0
             and grid_size % 2 == 0):
         raise ValueError(
             f"grid_size must be a positive even integer, got {grid_size!r}")
+    if not tol > 0.0:
+        raise ValueError(f"shooting tol must be positive, got {tol!r}")
     guess = np.asarray(guess, dtype=float)
     model.check_basin(guess)
 

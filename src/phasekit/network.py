@@ -16,11 +16,10 @@ as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
 Independent work runs in forked worker processes (`_parallel.pmap`):
-shooting the distinct node models of a spec, settling the nodes that have
-no closed-form phase, and in `compare_full_vs_reduced` the phase-model
-build next to the full run.  A map inside a worker runs serially there.
-Each piece is the serial computation, so the results do not depend on the
-worker count.
+shooting the distinct node models of a spec, and in
+`compare_full_vs_reduced` the phase-model build next to the full run.  A
+map inside a worker runs serially there.  Each piece is the serial
+computation, so the results do not depend on the worker count.
 
 For planar oscillators read as complex numbers z = x + i y, the pairing
 between a sensitivity Z and a coupling term h is Re(conj(Z) * h), which is
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -233,46 +233,37 @@ def _shoot(model: OscillatorModel) -> LimitCycle:
                             ivp_tol=(1e-12, 1e-14))
 
 
-def _prescribed(spec: NetworkSpec, i: int) -> Optional[Callable]:
-    if spec.prescribed_sensitivity is None:
-        return None
-    return spec.prescribed_sensitivity[i]
+def _sensitivities(spec: NetworkSpec, cycles: list):
+    """Sensitivity samples on the cycle grid per node, and whether any
+    node's curve was prescribed.
 
-
-def _adjoints(spec: NetworkSpec, cycles: list) -> dict:
-    """id(cycle) -> adjoint samples for every cycle some node reads.
-
-    Nodes share a cycle object only when their models are equal, so each
-    distinct cycle gets one adjoint.
+    A prescribed curve wins; every other node reads the adjoint of its
+    cycle, computed once per distinct cycle (nodes share a cycle object only
+    when their models are equal).  A prescribed curve's complex samples
+    become (Re, Im) rows; the samples must then have shape (M, dim) or
+    (dim, M) on the M-point grid, else ValueError.
     """
-    adjoints = {}
-    for i, cycle in enumerate(cycles):
-        if _prescribed(spec, i) is None and id(cycle) not in adjoints:
-            adjoints[id(cycle)] = phase_sensitivity(spec.models[i], cycle).values
-    return adjoints
-
-
-def _sensitivity_values(spec: NetworkSpec, i: int, cycle: LimitCycle,
-                        adjoints: dict):
-    """Sensitivity samples on the cycle grid for node i (prescribed wins).
-
-    adjoints maps id(cycle) to the adjoint samples of `_adjoints`.
-    """
-    pres = _prescribed(spec, i)
-    if pres is None:
-        return adjoints[id(cycle)], False
-    sample = np.asarray(pres(cycle.grid))
-    if np.iscomplexobj(sample):
-        values = np.stack([sample.real, sample.imag], axis=-1)
-    else:
-        values = np.asarray(sample, dtype=float)
-        if values.shape == cycle.grid.shape + (cycle.points.shape[1],):
-            pass
-        elif values.shape == (cycle.points.shape[1],) + cycle.grid.shape:
-            values = values.T
-        else:
+    prescribed = spec.prescribed_sensitivity
+    if prescribed is None:
+        prescribed = [None] * spec.n_nodes
+    adjoints, values = {}, []
+    for model, cycle, curve in zip(spec.models, cycles, prescribed):
+        if curve is None:
+            if id(cycle) not in adjoints:
+                adjoints[id(cycle)] = phase_sensitivity(model, cycle).values
+            values.append(adjoints[id(cycle)])
+            continue
+        sample = np.asarray(curve(cycle.grid))
+        if np.iscomplexobj(sample):
+            sample = np.stack([sample.real, sample.imag], axis=-1)
+        sample = np.asarray(sample, dtype=float)
+        shape = cycle.points.shape
+        if sample.shape != shape and sample.shape == shape[::-1]:
+            sample = sample.T
+        if sample.shape != shape:
             raise ValueError("prescribed sensitivity returned an unexpected shape")
-    return values, True
+        values.append(sample)
+    return values, any(curve is not None for curve in prescribed)
 
 
 @dataclass
@@ -300,72 +291,42 @@ def build_phase_model(spec: NetworkSpec) -> PhaseModel:
     """Average the network into its phase model.
 
     Edge functions are computed as the circular correlation of the node
-    sensitivity with the coupling term around the cycles: every node cycle
-    is shot on the same uniform 256-point grid, so the phase shift is an
-    index roll and the average is a plain circulant sum, exact for
-    band-limited integrands.  Each distinct node cycle gets one adjoint.
-    Time-varying adjacency entries are reduced to constants with
-    `mean_value` to `_ADJACENCY_MEAN_TOL` = 1e-6, once per distinct
-    (a_ij, b_ij, c_ij).
+    sensitivity (`_sensitivities`) with the coupling term around the cycles:
+    every node cycle is shot on the same uniform 256-point grid, so the
+    phase shift is an index roll and the average is a plain circulant sum,
+    exact for band-limited integrands.  Every entry with a_ij, b_ij or c_ij
+    nonzero is an edge, keyed (i, j) in row-major order.  A modulated entry
+    is reduced to its mean with `mean_value` to `_ADJACENCY_MEAN_TOL` =
+    1e-6, once per distinct (a_ij, b_ij, c_ij).
     """
     cycles = spec.cycles()
     n = spec.n_nodes
-    omega = np.array([c.omega0 for c in cycles])
+    omega = np.array([cycle.omega0 for cycle in cycles])
     h = spec.coupling_fn()
+    sens, prescribed = _sensitivities(spec, cycles)
 
-    sens_vals = {}
-    adjoints = _adjoints(spec, cycles)
-    prescribed_any = False
-    for i in range(n):
-        sens_vals[i], was_prescribed = _sensitivity_values(spec, i, cycles[i],
-                                                           adjoints)
-        prescribed_any = prescribed_any or was_prescribed
-
-    # Reduce the adjacency to constants, averaging each distinct
-    # (a_ij, b_ij, c_ij) entry once.
+    zero = np.zeros((n, n))
+    b = zero if spec.b is None else spec.b
+    c = zero if spec.c is None else spec.c
     a_eff = spec.a.copy()
-    if not spec.has_static_adjacency():
-        means = {}
-        for i in range(n):
-            for j in range(n):
-                bij = spec.b[i, j] if spec.b is not None else 0.0
-                cij = spec.c[i, j] if spec.c is not None else 0.0
-                if bij == 0.0 and cij == 0.0:
-                    continue
-                triple = (spec.a[i, j], bij, cij)
-                if triple not in means:
-                    def entry(t, _a=spec.a[i, j], _b=bij, _c=cij):
-                        t = np.asarray(t, dtype=float)
-                        out = np.full(t.shape, _a)
-                        if _b:
-                            out = out + _b * np.cos(spec.nu1 * t)
-                        if _c:
-                            out = out + _c * np.cos(spec.nu2 * t)
-                        return out
+    means = {}
+    for i, j in np.argwhere((b != 0.0) | (c != 0.0)).tolist():
+        entry = (spec.a[i, j], b[i, j], c[i, j])
+        if entry not in means:
+            means[entry] = mean_value(partial(_entry_signal, spec, *entry),
+                                      t_max=6e7, tol=_ADJACENCY_MEAN_TOL,
+                                      panel=2.0)
+        a_eff[i, j] = means[entry]
 
-                    means[triple] = mean_value(entry, t_max=6e7,
-                                               tol=_ADJACENCY_MEAN_TOL,
-                                               panel=2.0)
-                a_eff[i, j] = means[triple]
-
-    edges = {}
-    for i in range(n):
-        zi = sens_vals[i]
-        for j in range(n):
-            if i == j:
-                continue
-            coupled = abs(a_eff[i, j]) > 0.0 or (
-                spec.b is not None and spec.b[i, j] != 0.0) or (
-                spec.c is not None and spec.c[i, j] != 0.0)
-            if not coupled:
-                continue
-            qbar = _edge_average(zi, cycles[i].points, cycles[j].points, h)
-            edges[(i, j)] = CouplingFunction(
-                grid=cycles[i].grid.copy(), values=qbar,
-                provenance="periodic_average")
+    coupled = (spec.a != 0.0) | (b != 0.0) | (c != 0.0)
+    edges = {(i, j): CouplingFunction(
+                 grid=cycles[i].grid.copy(), provenance="periodic_average",
+                 values=_edge_average(sens[i], cycles[i].points,
+                                      cycles[j].points, h))
+             for i, j in np.argwhere(coupled).tolist()}
 
     model = PhaseModel(n_nodes=n, Omega=omega, epsilon=spec.epsilon,
-                       edges=edges, a_eff=a_eff, prescribed=prescribed_any)
+                       edges=edges, a_eff=a_eff, prescribed=prescribed)
     detuning = float(omega.max() - omega.min()) if n > 1 else 0.0
     scale = spec.epsilon * model.max_coupling_scale()
     if detuning > 10.0 * scale > 0.0:
@@ -374,6 +335,17 @@ def build_phase_model(spec: NetworkSpec) -> PhaseModel:
             f"coupling scale {scale:.3g}; phase locking is out of reach at "
             "this order", stacklevel=2)
     return model
+
+
+def _entry_signal(spec: NetworkSpec, a, b, c, t):
+    """a + b cos(nu1 t) + c cos(nu2 t) at an array of times t; a zero
+    modulation is left out, so its frequency may be unset."""
+    out = np.full(t.shape, a)
+    if b:
+        out = out + b * np.cos(spec.nu1 * t)
+    if c:
+        out = out + c * np.cos(spec.nu2 * t)
+    return out
 
 
 def _edge_average(z_vals, pts_i, pts_j, h):
@@ -512,23 +484,15 @@ def network_phases(spec: NetworkSpec, traj: NetworkTrajectory) -> np.ndarray:
     unwrapped along the samples.
 
     Uses the per-node closed-form phase map when the model carries one,
-    otherwise settles the states numerically (batched per node, the nodes
-    spread over worker processes).
+    otherwise settles the node's states numerically, batched per node.
     """
-    cycles = spec.cycles()
-    n = spec.n_nodes
-    out = np.empty((len(traj.times), n))
-    numeric = []
-    for i in range(n):
-        mdl = spec.models[i]
-        if mdl.analytic_phase is not None:
-            out[:, i] = mdl.analytic_phase(traj.states[:, i, :])
+    out = np.empty((len(traj.times), spec.n_nodes))
+    for i, (model, cycle) in enumerate(zip(spec.models, spec.cycles())):
+        states = traj.states[:, i, :]
+        if model.analytic_phase is not None:
+            out[:, i] = model.analytic_phase(states)
         else:
-            numeric.append(i)
-    settled = pmap(lambda i: asymptotic_phase(spec.models[i], cycles[i],
-                                              traj.states[:, i, :]), numeric)
-    for i, phases in zip(numeric, settled):
-        out[:, i] = phases
+            out[:, i] = asymptotic_phase(model, cycle, states)
     return np.unwrap(out, axis=0)
 
 

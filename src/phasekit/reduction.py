@@ -234,23 +234,9 @@ def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
     quadrature keeps the quadrature error far below the window truncation
     error for signals with frequencies up to a few rad per time unit.  Raises
     MeanValueError (carrying the last estimate and spread) when the budget
-    t_max is exhausted first.
+    t_max is exhausted first.  g takes a 1-d array of times and returns its
+    values stacked along the first axis.
     """
-    # Detect whether g accepts array arguments.
-    t_probe = np.array([0.0, 1e-3])
-    vectorized = True
-    try:
-        out = np.asarray(g(t_probe), dtype=float)
-        if out.shape[:1] != (2,):
-            vectorized = False
-    except Exception:
-        vectorized = False
-
-    def eval_g(ts):
-        if vectorized:
-            return np.asarray(g(ts), dtype=float)
-        return np.asarray([np.asarray(g(float(t)), dtype=float) for t in ts])
-
     integral = None
     prev_mean = None
     spread = None
@@ -261,7 +247,7 @@ def mean_value(g: Callable, t_max: float = 4e6, tol: float = 1e-6,
         t_nodes, wts = _gl_panel_nodes(w_edge, window, panel)
         chunk = 1 << 18
         for i0 in range(0, len(t_nodes), chunk):
-            vals = eval_g(t_nodes[i0:i0 + chunk])
+            vals = np.asarray(g(t_nodes[i0:i0 + chunk]), dtype=float)
             contrib = np.tensordot(wts[i0:i0 + chunk], vals, axes=(0, 0))
             integral = contrib if integral is None else integral + contrib
         w_edge = window

@@ -172,6 +172,25 @@ def test_grid_size_must_be_positive_and_even(tmp_path, capsys, grid_size):
     assert err["field"] == "grid_size"
 
 
+@pytest.mark.parametrize("shooting_tol", [0, -1])
+def test_shooting_tol_must_be_positive(tmp_path, capsys, monkeypatch,
+                                       shooting_tol):
+    def no_crossing(*args, **kwargs):
+        raise AssertionError("shooting integrated")
+
+    monkeypatch.setattr("phasekit.cycles.find_crossing", no_crossing)
+    cfg = write_config(tmp_path, {"model": {"name": "radial"},
+                                  "shooting_tol": shooting_tol})
+    rc, out = run_cli(["find-cycle", "--config", cfg, "--out", tmp_path / "o"],
+                      capsys)
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert err["field"] == "shooting_tol"
+
+
 SL_NETWORK = ('{"models": [{"name": "stuart_landau", "params": '
               '{"omega": 1.99, "c2": 1.0}}, {"name": "stuart_landau", '
               '"params": {"omega": 2.01, "c2": 1.0}}], ')

@@ -198,6 +198,16 @@ def test_grid_size_must_be_positive_and_even(grid_size):
                             grid_size=grid_size)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_shooting_tol_must_be_positive(tol, monkeypatch):
+    def no_crossing(*args, **kwargs):
+        raise AssertionError("shooting integrated")
+
+    monkeypatch.setattr("phasekit.cycles.find_crossing", no_crossing)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        pk.find_limit_cycle(pk.make_model("radial"), (1.5, 0.1), tol=tol)
+
+
 @pytest.mark.parametrize("values_shape", [(64,), (64, 3)])
 def test_interpolant_jet_matches_separate_calls_bitwise(values_shape):
     rng = np.random.default_rng(3)

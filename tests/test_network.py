@@ -351,6 +351,27 @@ def test_time_varying_adjacency_averages_to_static_weights():
         assert np.array_equal(pm.edges[key].values, static.edges[key].values)
 
 
+def test_edges_are_keyed_by_plain_int_pairs_in_row_major_order():
+    # a ring whose forward edges are modulated and one edge that exists
+    # only through its modulation
+    m = make_model("stuart_landau", omega=2.0, c2=1.0)
+    n = 4
+    a, b, c = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 0.5
+        b[(i + 1) % n, i] = 0.2
+    a[0, 3] = 0.0
+    c[0, 2] = -0.1
+    spec = NetworkSpec(models=[m] * n, epsilon=0.05, a=a, b=b, c=c,
+                       nu1=np.sqrt(2.0), nu2=1.0, coupling="diffusive")
+    pm = build_phase_model(spec)
+    keys = list(pm.edges)
+    assert keys == [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3),
+                    (3, 0), (3, 2)]
+    assert all(type(i) is int and type(j) is int for i, j in keys)
+    assert abs(pm.a_eff[0, 3]) < 1e-6
+
+
 def test_incommensurate_modulation_requires_both_frequencies():
     # same spec as above but with nu2 rationally related to nu1 is still
     # legal; only missing frequencies are rejected, which is covered by the
@@ -653,5 +674,8 @@ def test_prescribed_sensitivity_as_real_vectors():
         assert set(got.edges) == set(want.edges)
         for key, cf in want.edges.items():
             np.testing.assert_array_equal(got.edges[key].values, cf.values)
-    with pytest.raises(ValueError, match="unexpected shape"):
-        build_phase_model(with_curve(lambda th: np.zeros(3)))
+    # complex samples go through the same shape rule as real ones
+    for curve in (lambda th: np.zeros(3), lambda th: 1j,
+                  lambda th: np.ones((3, len(th)), dtype=complex)):
+        with pytest.raises(ValueError, match="unexpected shape"):
+            build_phase_model(with_curve(curve))

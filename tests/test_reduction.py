@@ -115,6 +115,19 @@ def test_mean_value_sin_squared():
     assert abs(mean_value(g, tol=1e-7) - 0.5) < 1e-6
 
 
+def test_mean_value_needs_a_signal_over_arrays_of_times():
+    # a scalar-only g fails on its first call instead of being looped over
+    calls = []
+
+    def g(t):
+        calls.append(np.shape(t))
+        return math.cos(t)
+
+    with pytest.raises(TypeError):
+        mean_value(g)
+    assert len(calls) == 1 and calls[0][0] > 1
+
+
 def test_mean_value_nonconvergent():
     # secular growth never settles; the error carries the last estimate
     with pytest.raises(MeanValueError) as info:
