@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -56,7 +57,9 @@ class OscillatorModel:
     Fields
     ------
     name : str
-        Identifier ("radial", "spiral", "stuart_landau", or "custom").
+        Identifier ("radial", "spiral", "stuart_landau", "relaxation", or
+        "custom").  A model counts as a built-in only when make_model built
+        its field; the name alone does not make it one.
     dim : int
         State dimension.
     f : callable
@@ -182,17 +185,14 @@ def _spiral_prc(theta):
     return np.stack([c - s, c + s], axis=-1)
 
 
-def _make_sl_f(omega, c2):
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        r2 = u * u + v * v
-        out = np.empty(x.shape)
-        out[..., 0] = u - omega * v - r2 * (u - c2 * v)
-        out[..., 1] = omega * u + v - r2 * (c2 * u + v)
-        return out
-
-    return f
+def _sl_f(omega, c2, x):
+    x = np.asarray(x, dtype=float)
+    u, v = x[..., 0], x[..., 1]
+    r2 = u * u + v * v
+    out = np.empty(x.shape)
+    out[..., 0] = u - omega * v - r2 * (u - c2 * v)
+    out[..., 1] = omega * u + v - r2 * (c2 * u + v)
+    return out
 
 
 def _make_sl_jac(omega, c2):
@@ -228,6 +228,44 @@ def _make_sl_prc(c2):
     return prc
 
 
+def _relaxation_f(mu, x):
+    x = np.asarray(x, dtype=float)
+    u, v = x[..., 0], x[..., 1]
+    out = np.empty(x.shape)
+    out[..., 0] = v
+    out[..., 1] = mu * (1.0 - u * u) * v - u
+    return out
+
+
+# The built-in vector fields: family name -> (f(*params, x), the names of
+# its params in order).  A parameter may be a float or a (g,) array, which
+# broadcasts over the node axis of a (..., g, dim) block: `network`
+# evaluates g nodes of one family in one call that way, each element by the
+# same arithmetic as a call per node.  The params come first so that
+# `partial` binds them by position, which calls faster than by keyword.
+_FIELDS = {
+    "radial": (_radial_f, ()),
+    "spiral": (_spiral_f, ()),
+    "stuart_landau": (_sl_f, ("omega", "c2")),
+    "relaxation": (_relaxation_f, ("mu",)),
+}
+
+
+def _field(name: str, params) -> Callable[[np.ndarray], np.ndarray]:
+    """The built-in field `name` with the values of the mapping params
+    bound."""
+    f, names = _FIELDS[name]
+    return partial(f, *(params[p] for p in names))
+
+
+def _is_builtin(model: OscillatorModel) -> bool:
+    """Whether model's field is its family's built-in field bound to the
+    model's own params, as make_model builds it."""
+    f, names = _FIELDS.get(model.name, (None, ()))
+    return (isinstance(model.f, partial) and model.f.func is f
+            and model.f.args == tuple(model.params.get(p) for p in names))
+
+
 def relaxation_model(mu: float = 1.0) -> OscillatorModel:
     """Planar relaxation oscillator x'' - mu*(1 - x^2)*x' + x = 0.
 
@@ -240,14 +278,6 @@ def relaxation_model(mu: float = 1.0) -> OscillatorModel:
     if mu <= 0.0:
         raise ValueError("mu must be positive")
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
-        out[..., 0] = v
-        out[..., 1] = mu * (1.0 - u * u) * v - u
-        return out
-
     def jacobian(x):
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
@@ -258,8 +288,9 @@ def relaxation_model(mu: float = 1.0) -> OscillatorModel:
         j[..., 1, 1] = mu * (1.0 - u * u)
         return j
 
-    return OscillatorModel(name="relaxation", dim=2, f=f, jacobian=jacobian,
-                           params={"mu": mu}, vectorized=True)
+    return OscillatorModel(name="relaxation", dim=2,
+                           f=_field("relaxation", {"mu": mu}),
+                           jacobian=jacobian, params={"mu": mu})
 
 
 def make_model(name: str, **params) -> OscillatorModel:
@@ -278,7 +309,7 @@ def make_model(name: str, **params) -> OscillatorModel:
         return OscillatorModel(
             name="radial",
             dim=2,
-            f=_radial_f,
+            f=_field("radial", {}),
             jacobian=_radial_jac,
             analytic_phase=_radial_phase,
             analytic_prc=_radial_prc,
@@ -289,7 +320,7 @@ def make_model(name: str, **params) -> OscillatorModel:
         return OscillatorModel(
             name="spiral",
             dim=2,
-            f=_spiral_f,
+            f=_field("spiral", {}),
             jacobian=_spiral_jac,
             analytic_phase=_spiral_phase,
             analytic_prc=_spiral_prc,
@@ -316,7 +347,7 @@ def make_model(name: str, **params) -> OscillatorModel:
         return OscillatorModel(
             name="stuart_landau",
             dim=2,
-            f=_make_sl_f(omega, c2),
+            f=_field("stuart_landau", {"omega": omega, "c2": c2}),
             jacobian=_make_sl_jac(omega, c2),
             analytic_phase=_make_sl_phase(c2),
             analytic_prc=_make_sl_prc(c2),

@@ -15,6 +15,14 @@ distinct node cycle unless explicitly prescribed; a prescribed curve is used
 as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
+A full run integrates the network as one system whose right-hand side
+evaluates each built-in model family once per call: the nodes of a family
+(models that `make_model` built, by name) form one (..., g, dim) block, and
+their parameters (Stuart-Landau omega and c2, relaxation mu) are bound as
+(g,) arrays along the node axis.  A family of one node, and every custom
+model, is evaluated on its own.  Each element is the same arithmetic as a
+call per node, so the results do not depend on the grouping.
+
 Independent work runs in forked worker processes (`_parallel.pmap`):
 shooting the distinct node models of a spec, and in
 `compare_full_vs_reduced` the phase-model build next to the full run.  A
@@ -37,7 +45,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import TWO_PI, OscillatorModel, make_model, wrap_phase
+from .models import (TWO_PI, OscillatorModel, _field, _is_builtin,
+                     make_model, wrap_phase)
 from ._parallel import pmap
 from .ode import DEFAULT_TOL, _run_solver
 from .cycles import LimitCycle, _default_guess, find_limit_cycle
@@ -146,6 +155,8 @@ class NetworkSpec:
 
     def __post_init__(self):
         n = len(self.models)
+        if n == 0:
+            raise ValueError("models must hold at least one node model")
         self.a = np.asarray(self.a, dtype=float)
         if self.a.shape != (n, n):
             raise ValueError(f"adjacency a must be ({n}, {n}), got {self.a.shape}")
@@ -219,9 +230,11 @@ class NetworkSpec:
 
 
 def _model_key(model: OscillatorModel):
-    if model.name == "custom":
-        return ("custom", id(model))
-    return (model.name, tuple(sorted(model.params.items())))
+    """Equal models that make_model built share a key; any other model is
+    keyed by identity, whatever its name."""
+    if _is_builtin(model):
+        return (model.name, tuple(sorted(model.params.items())))
+    return ("custom", id(model))
 
 
 def _shoot(model: OscillatorModel) -> LimitCycle:
@@ -383,13 +396,14 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
 
     spec.epsilon is not read: member k runs at epsilons[k], a nonempty 1-d
     list of finite numbers (else ValueError).  The members are stacked into
-    one (K, N, dim) state and handed to the solver as a single system: every
-    node model is evaluated once per RHS call across the K axis, and the
-    coupling operator once on the whole stack, scaled by a (K, 1, 1)
-    epsilon.  All members start from the same state, the node cycles at
-    phases theta0 (zeros unless given; else n_nodes finite numbers, checked
-    before any cycle is shot), and are sampled at the same times.  Returns
-    one NetworkTrajectory per epsilon, in order.
+    one (K, N, dim) state and handed to the solver as a single system
+    (`_network_rhs`).  Each RHS call evaluates every built-in model family
+    once, on the (K, g, dim) block of its g nodes; every other node once
+    across the K axis; and the coupling operator once on the whole stack,
+    scaled by a (K, 1, 1) epsilon.  All members start from the same state,
+    the node cycles at phases theta0 (zeros unless given; else n_nodes
+    finite numbers, checked before any cycle is shot), and are sampled at
+    the same times.  Returns one NetworkTrajectory per epsilon, in order.
 
     The solver accepts a step when the RMS of the scaled error over all
     K*N*dim components is at most 1, which dilutes one member's error as K
@@ -403,7 +417,6 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
     if eps.ndim != 1 or not eps.size or not np.all(np.isfinite(eps)):
         raise ValueError("epsilons must be a nonempty 1-d list of finite "
                          "numbers")
-    eps = eps[:, None, None]
     k, n = len(eps), spec.n_nodes
     dims = [m.dim for m in spec.models]
     if len(set(dims)) != 1:
@@ -412,26 +425,60 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
     theta0 = _start_phases(theta0, n)
     cycles = spec.cycles()
     x0 = np.stack([cycles[i].gamma_at(float(theta0[i])) for i in range(n)])
-    fields = [m.f_batch for m in spec.models]
+    shrink = np.sqrt(k)
+    res = _run_solver(_network_rhs(spec, eps), np.tile(x0.reshape(-1), k),
+                      (float(t_span[0]), float(t_span[1])),
+                      (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval)
+    states = res.y.T.reshape(-1, k, n, dim)
+    return [NetworkTrajectory(times=res.t.copy(), states=states[:, j].copy())
+            for j in range(k)]
+
+
+def _node_fields(models) -> list:
+    """(nodes, field) pairs that together evaluate every node's field.
+
+    The nodes of a built-in family (`_is_builtin`, the rule `_model_key`
+    keys by) share one call on their (..., g, dim) block, with each
+    parameter bound as the (g,) array of the nodes' values; each element is
+    the same IEEE operation on the same operands as in a call per node.  A
+    family of one node, and every other model, keep a call of their own
+    f_batch.
+    """
+    families = {}
+    for i, model in enumerate(models):
+        families.setdefault(model.name if _is_builtin(model) else i,
+                            []).append(i)
+    fields = []
+    for nodes in families.values():
+        first = models[nodes[0]]
+        if len(nodes) == 1:
+            fields.append((nodes[0], first.f_batch))
+            continue
+        params = {p: np.array([models[i].params[p] for i in nodes],
+                              dtype=float) for p in first.params}
+        fields.append((np.array(nodes), _field(first.name, params)))
+    return fields
+
+
+def _network_rhs(spec: NetworkSpec, epsilons: np.ndarray) -> Callable:
+    """The RHS of the K-member stack of spec's network, one member per
+    entry of the 1-d array epsilons, on the flat (K * N * dim) state."""
+    eps = epsilons[:, None, None]
+    k, n, dim = len(eps), spec.n_nodes, spec.models[0].dim
+    fields = _node_fields(spec.models)
     coupling = spec.coupling_operator()
     static = spec.has_static_adjacency()
 
     def rhs(t, y):
         x = y.reshape(k, n, dim)
         dx = np.empty_like(x)
-        for i, f in enumerate(fields):
-            dx[:, i] = f(x[:, i])
+        for nodes, f in fields:
+            dx[:, nodes] = f(x[:, nodes])
         a_t = spec.a if static else spec.adjacency_at(t)
         dx += eps * coupling(a_t, x)
         return dx.reshape(-1)
 
-    shrink = np.sqrt(k)
-    res = _run_solver(rhs, np.tile(x0.reshape(-1), k),
-                      (float(t_span[0]), float(t_span[1])),
-                      (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval)
-    states = res.y.T.reshape(-1, k, n, dim)
-    return [NetworkTrajectory(times=res.t.copy(), states=states[:, j].copy())
-            for j in range(k)]
+    return rhs
 
 
 def simulate_full(spec: NetworkSpec, t_span, theta0=None,

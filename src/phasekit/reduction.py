@@ -295,10 +295,11 @@ def lock_analysis(delta: float, eps: float,
                   coupling: CouplingLike) -> LockResult:
     """Fixed points of d psi / dt = delta + eps * q(psi) on [0, 2*pi).
 
-    Roots are located by a sign scan over `_N_SCAN` = 4096 points refined
-    with bisection; a root is stable when the right-hand side has negative
-    slope there.  Stable and unstable points alternate around the circle
-    whenever the locking inequality is strict.
+    Roots are located by a sign scan over `_N_SCAN` = 4096 points, each
+    bracketed sign change refined with Brent's method (`brentq`); a root is
+    stable when the right-hand side has negative slope there.  Stable and
+    unstable points alternate around the circle whenever the locking
+    inequality is strict.
     """
     delta = float(delta)
     eps = float(eps)

@@ -6,6 +6,7 @@ import pytest
 from phasekit import (
     COUPLING_NAMES,
     NetworkSpec,
+    OscillatorModel,
     build_phase_model,
     compare_full_vs_reduced,
     flow,
@@ -17,7 +18,9 @@ from phasekit import (
     simulate_full,
     simulate_phase_model,
     sl_prescribed_pair,
+    subharmonic_pair,
 )
+import phasekit.models as models
 import phasekit.network as network
 from phasekit.network import _phase_rhs
 
@@ -64,6 +67,8 @@ def test_spec_rejects_malformed_input():
     with pytest.raises(ValueError, match="one entry per node"):
         NetworkSpec(models=[m, m], epsilon=0.1, a=np.zeros((2, 2)),
                     prescribed_sensitivity=[None])
+    with pytest.raises(ValueError, match="models"):
+        NetworkSpec(models=[], epsilon=0.1, a=np.zeros((0, 0)))
 
 
 def test_named_coupling_terms():
@@ -190,6 +195,92 @@ def test_ensemble_members_match_their_solo_runs():
         err_member = np.max(np.abs(member.states - ref.states))
         err_solo = np.max(np.abs(solo.states - ref.states))
         assert err_member <= err_solo
+
+
+def per_node_rhs(spec, epsilons, t, y):
+    """The stacked network RHS with one field call per node: the reference
+    for the per-family evaluation of `network._network_rhs`."""
+    eps = np.asarray(epsilons, dtype=float)[:, None, None]
+    x = y.reshape(len(eps), spec.n_nodes, -1)
+    dx = np.empty_like(x)
+    for i, model in enumerate(spec.models):
+        dx[:, i] = model.f_batch(x[:, i])
+    dx += eps * spec.coupling_operator()(spec.adjacency_at(t), x)
+    return dx.reshape(-1)
+
+
+def sl_field_named(name, omega):
+    """A model that make_model did not build: a Stuart-Landau field at
+    omega (c2 = 1, so period 2*pi / (omega - 1)) under its own name."""
+    field = make_model("stuart_landau", omega=omega, c2=1.0).f
+    return OscillatorModel(name=name, dim=2, f=field)
+
+
+def mixed_networks():
+    """Networks whose nodes mix families, parameters and custom models."""
+    radial, spiral = make_model("radial"), make_model("spiral")
+    sl = [make_model("stuart_landau", omega=w, c2=1.0) for w in (2.0, 2.3)]
+    ring = np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+    return {
+        "radial/spiral/radial": NetworkSpec(
+            models=[radial, spiral, make_model("radial")], epsilon=0.1,
+            a=np.ones((3, 3)) - np.eye(3), coupling="diffusive"),
+        "scalar-only custom": NetworkSpec(
+            models=[radial, scalar_only_radial(), radial, *sl], epsilon=0.1,
+            a=0.5 * ring, coupling="direct"),
+        "custom models named alike": NetworkSpec(
+            models=[sl_field_named("ring", 2.0), sl_field_named("ring", 3.0)],
+            epsilon=0.1, a=np.array([[0.0, 1.0], [1.0, 0.0]])),
+        "prescribed pair": sl_prescribed_pair(0.02, 0.1),
+    }
+
+
+@pytest.mark.parametrize("case, k", [
+    ("ring", 1), ("ring", 3), ("prescribed pair", 1),
+    ("radial/spiral/radial", 2), ("scalar-only custom", 2),
+    ("custom models named alike", 2)])
+def test_family_rhs_matches_the_per_node_rhs_bit_for_bit(case, k):
+    spec = modulated_ring() if case == "ring" else mixed_networks()[case]
+    epsilons = np.linspace(0.02, 0.1, k)
+    rhs = network._network_rhs(spec, epsilons)
+    rng = np.random.default_rng(k)
+    for t in (0.0, 0.7, 13.1):
+        y = rng.normal(scale=1.5, size=k * spec.n_nodes * 2)
+        np.testing.assert_array_equal(rhs(t, y),
+                                      per_node_rhs(spec, epsilons, t, y))
+
+
+@pytest.mark.parametrize("case, calls, block", [
+    ("ring", 2, (1, 4, 2)),
+    ("subharmonic pair", 2, (1, 2))])
+def test_each_family_is_evaluated_once_per_rhs_call(monkeypatch, case, calls,
+                                                     block):
+    shapes = []
+
+    def counted(field):
+        def f(*args):
+            shapes.append(args[-1].shape)
+            return field(*args)
+        return f
+
+    for name, (field, params) in list(models._FIELDS.items()):
+        monkeypatch.setitem(models._FIELDS, name, (counted(field), params))
+    per_eval = []
+    real_run_solver = network._run_solver
+
+    def run_solver(rhs, *args, **kwargs):
+        def rhs_counted(t, y):
+            before = len(shapes)
+            out = rhs(t, y)
+            per_eval.append(shapes[before:])
+            return out
+        return real_run_solver(rhs_counted, *args, **kwargs)
+
+    monkeypatch.setattr(network, "_run_solver", run_solver)
+    spec = modulated_ring() if case == "ring" else subharmonic_pair(0.02, 0.05)
+    traj = simulate_full(spec, (0.0, 2.0))
+    assert len(traj.times) > 2 and per_eval
+    assert all(seen == [block] * calls for seen in per_eval)
 
 
 def test_ensemble_needs_finite_epsilons():
@@ -649,6 +740,17 @@ def test_a_spec_shoots_each_distinct_model_once(monkeypatch):
     for mine, theirs in zip(again, cycles):
         assert mine is not theirs
         np.testing.assert_array_equal(mine.points, theirs.points)
+
+
+def test_custom_models_named_alike_keep_their_own_cycles():
+    # models that make_model did not build are keyed by identity, whatever
+    # their name, so each node gets the cycle of its own field
+    spec = mixed_networks()["custom models named alike"]
+    cycles = spec.cycles()
+    assert cycles[0] is not cycles[1]
+    np.testing.assert_allclose([c.period for c in cycles],
+                               [TWO_PI, np.pi], rtol=1e-9)
+    assert [nodes for nodes, _ in network._node_fields(spec.models)] == [0, 1]
 
 
 def test_prescribed_sensitivity_as_real_vectors():
