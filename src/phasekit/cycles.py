@@ -318,6 +318,12 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     resolved (see floquet_exponent), and ValueError, before any
     integration, when grid_size is not a positive even integer or tol is not
     positive.
+
+    Between nodes the cycle is the nodes' trigonometric interpolant.
+    Relaxation at mu = 3 is under-resolved at the default 256 points: off a
+    DOP853 orbit at rtol 2.3e-14 by about 1e-10 between nodes at default
+    tolerances, and by 3e-11 (nodes 8e-13) when shot to tol 1e-12 (mu = 1:
+    5e-13; mu = 3 at 512 points: 1e-12).
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size > 0
             and grid_size % 2 == 0):

@@ -1,12 +1,19 @@
 """Planar limit-cycle oscillator models and forcing terms.
 
-The radial, spiral and Stuart-Landau built-ins share the same skeleton: an
-exponentially stable limit cycle on the unit circle with Floquet exponent -2,
-and an excluded neighborhood of the origin where no asymptotic phase exists.
-Each of them carries a closed-form asymptotic phase and phase response
-curve; the relaxation oscillator has neither.  The test suite uses both as
-oracles, and `network.network_phases` reads the asymptotic phase of every
-node that has one in place of settling its states numerically.
+The circular built-ins are one family, the Stuart-Landau normal form
+
+    z' = (alpha - beta |z|^2) z,   alpha = 1 + i omega,   beta = 1 + i c2,
+
+on z = u + i v: an exponentially stable limit cycle on the unit circle with
+angular frequency omega - c2 and Floquet exponent -2, and an excluded
+neighborhood of the origin where no asymptotic phase exists.  "radial"
+(omega = 1, c2 = 0) and "spiral" (omega = 0, c2 = -1) are parameterless
+presets of "stuart_landau".  The family's one field evaluates the formula
+above on the complex128 view of a (..., 2) block.  Each circular model
+carries a closed-form asymptotic phase and phase response curve; the
+relaxation oscillator has neither.  The test suite uses both as oracles, and
+`network.network_phases` reads the asymptotic phase of every node that has
+one in place of settling its states numerically.
 
 Vector fields broadcast: ``f(x)`` accepts ``x`` of shape ``(..., dim)`` and
 returns the same shape.  Custom models may be scalar-only; set
@@ -120,79 +127,13 @@ class OscillatorModel:
 
 # --- built-in vector fields -------------------------------------------------
 
-def _radial_f(x):
-    x = np.asarray(x, dtype=float)
+def _circular_f(alpha, beta, x):
+    """z' = (alpha - beta |z|^2) z, |z|^2 = u u + v v, on the complex view
+    z = u + i v of the (..., 2) block x, which the view needs contiguous."""
+    x = np.ascontiguousarray(x, dtype=float)
     u, v = x[..., 0], x[..., 1]
-    r2 = u * u + v * v
-    out = np.empty(x.shape)
-    out[..., 0] = u - v - u * r2
-    out[..., 1] = u + v - v * r2
-    return out
-
-
-def _radial_jac(x):
-    x = np.asarray(x, dtype=float)
-    u, v = x[..., 0], x[..., 1]
-    j = np.empty(x.shape[:-1] + (2, 2))
-    j[..., 0, 0] = 1.0 - 3.0 * u * u - v * v
-    j[..., 0, 1] = -1.0 - 2.0 * u * v
-    j[..., 1, 0] = 1.0 - 2.0 * u * v
-    j[..., 1, 1] = 1.0 - u * u - 3.0 * v * v
-    return j
-
-
-def _radial_phase(x):
-    x = np.asarray(x, dtype=float)
-    return wrap_phase(np.arctan2(x[..., 1], x[..., 0]))
-
-
-def _radial_prc(theta):
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-
-
-def _spiral_f(x):
-    x = np.asarray(x, dtype=float)
-    u, v = x[..., 0], x[..., 1]
-    r2 = u * u + v * v
-    out = np.empty(x.shape)
-    out[..., 0] = u - (u + v) * r2
-    out[..., 1] = v + (u - v) * r2
-    return out
-
-
-def _spiral_jac(x):
-    x = np.asarray(x, dtype=float)
-    u, v = x[..., 0], x[..., 1]
-    j = np.empty(x.shape[:-1] + (2, 2))
-    j[..., 0, 0] = 1.0 - 3.0 * u * u - v * v - 2.0 * u * v
-    j[..., 0, 1] = -(u * u + 3.0 * v * v + 2.0 * u * v)
-    j[..., 1, 0] = 3.0 * u * u + v * v - 2.0 * u * v
-    j[..., 1, 1] = 1.0 - u * u - 3.0 * v * v + 2.0 * u * v
-    return j
-
-
-def _spiral_phase(x):
-    # Isochrons are logarithmic spirals: phase = polar angle + log(radius).
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[..., 0], x[..., 1])
-    return wrap_phase(np.arctan2(x[..., 1], x[..., 0]) + np.log(r))
-
-
-def _spiral_prc(theta):
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([c - s, c + s], axis=-1)
-
-
-def _sl_f(omega, c2, x):
-    x = np.asarray(x, dtype=float)
-    u, v = x[..., 0], x[..., 1]
-    r2 = u * u + v * v
-    out = np.empty(x.shape)
-    out[..., 0] = u - omega * v - r2 * (u - c2 * v)
-    out[..., 1] = omega * u + v - r2 * (c2 * u + v)
-    return out
+    z = x.view(np.complex128)[..., 0]
+    return ((alpha - beta * (u * u + v * v)) * z)[..., None].view(np.float64)
 
 
 def _make_sl_jac(omega, c2):
@@ -237,33 +178,40 @@ def _relaxation_f(mu, x):
     return out
 
 
-# The built-in vector fields: family name -> (f(*params, x), the names of
-# its params in order).  A parameter may be a float or a (g,) array, which
-# broadcasts over the node axis of a (..., g, dim) block: `network`
-# evaluates g nodes of one family in one call that way, each element by the
-# same arithmetic as a call per node.  The params come first so that
-# `partial` binds them by position, which calls faster than by keyword.
+# The built-in vector fields: name -> (f(*args, x), params -> args).  The
+# circular args are alpha = 1 + i omega and beta = 1 + i c2; radial and
+# spiral are the Stuart-Landau presets (omega, c2) = (1, 0) and (0, -1).  An
+# arg may be a scalar or a (g,) array, which broadcasts over the node axis
+# of a (..., g, dim) block: `network` evaluates g nodes of one field in one
+# call that way, each element by the same arithmetic as a call per node.
+# The args come first so that `partial` binds them by position, which calls
+# faster than by keyword.
 _FIELDS = {
-    "radial": (_radial_f, ()),
-    "spiral": (_spiral_f, ()),
-    "stuart_landau": (_sl_f, ("omega", "c2")),
-    "relaxation": (_relaxation_f, ("mu",)),
+    "radial": (_circular_f, lambda params: (1 + 1j, 1 + 0j)),
+    "spiral": (_circular_f, lambda params: (1 + 0j, 1 - 1j)),
+    "stuart_landau": (_circular_f, lambda params: (
+        complex(1.0, params["omega"]), complex(1.0, params["c2"]))),
+    "relaxation": (_relaxation_f, lambda params: (params["mu"],)),
 }
 
 
 def _field(name: str, params) -> Callable[[np.ndarray], np.ndarray]:
-    """The built-in field `name` with the values of the mapping params
+    """The built-in field `name` with the args of the mapping params
     bound."""
-    f, names = _FIELDS[name]
-    return partial(f, *(params[p] for p in names))
+    f, bind = _FIELDS[name]
+    return partial(f, *bind(params))
 
 
 def _is_builtin(model: OscillatorModel) -> bool:
     """Whether model's field is its family's built-in field bound to the
     model's own params, as make_model builds it."""
-    f, names = _FIELDS.get(model.name, (None, ()))
-    return (isinstance(model.f, partial) and model.f.func is f
-            and model.f.args == tuple(model.params.get(p) for p in names))
+    f, bind = _FIELDS.get(model.name, (None, None))
+    if not (isinstance(model.f, partial) and model.f.func is f):
+        return False
+    try:
+        return model.f.args == bind(model.params)
+    except (KeyError, TypeError):      # params make_model never binds
+        return False
 
 
 def relaxation_model(mu: float = 1.0) -> OscillatorModel:
@@ -273,10 +221,11 @@ def relaxation_model(mu: float = 1.0) -> OscillatorModel:
     cycle is not rotation-symmetric, so its linearized kernels carry a full
     harmonic spectrum; this is what lets subharmonic (2:1) entrainment act at
     second order in the forcing strength.  The origin is the only equilibrium
-    and the phaseless point.
+    and the phaseless point.  mu must be positive and finite (else
+    ValueError).
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
@@ -296,63 +245,42 @@ def relaxation_model(mu: float = 1.0) -> OscillatorModel:
 def make_model(name: str, **params) -> OscillatorModel:
     """Construct a built-in model by name, or wrap a custom vector field.
 
-    Built-ins: "radial" and "spiral" (parameterless, unit-circle cycles with
-    period 2*pi), "stuart_landau" (requires ``omega`` and ``c2``; the cycle
-    is the unit circle with angular frequency ``omega - c2``), and
-    "relaxation" (optional ``mu``, see relaxation_model).  "custom" requires
-    ``f`` and ``dim`` and accepts ``jacobian``, ``basin_radius``,
-    ``vectorized``, plus arbitrary parameter entries.
+    Built-ins: "stuart_landau" (requires finite ``omega`` and ``c2`` with
+    ``omega - c2 > 0``; the cycle is the unit circle with angular frequency
+    ``omega - c2``), its parameterless presets "radial" (omega = 1, c2 = 0)
+    and "spiral" (omega = 0, c2 = -1), both with period 2*pi, and
+    "relaxation" (optional ``mu``, see relaxation_model).  All three
+    circular models share one field, evaluated in complex form (see the
+    module docstring), and one Jacobian, phase and PRC formula; radial and
+    spiral keep their names and empty params.  "custom" requires ``f`` and
+    ``dim`` and accepts ``jacobian``, ``basin_radius``, ``vectorized``, plus
+    arbitrary parameter entries.  A bad built-in parameter raises
+    ValueError naming it.
     """
-    if name == "radial":
-        if params:
-            raise ValueError(f"radial model takes no parameters, got {sorted(params)}")
-        return OscillatorModel(
-            name="radial",
-            dim=2,
-            f=_field("radial", {}),
-            jacobian=_radial_jac,
-            analytic_phase=_radial_phase,
-            analytic_prc=_radial_prc,
-        )
-    if name == "spiral":
-        if params:
-            raise ValueError(f"spiral model takes no parameters, got {sorted(params)}")
-        return OscillatorModel(
-            name="spiral",
-            dim=2,
-            f=_field("spiral", {}),
-            jacobian=_spiral_jac,
-            analytic_phase=_spiral_phase,
-            analytic_prc=_spiral_prc,
-        )
+    if name in ("radial", "spiral", "stuart_landau"):
+        names = ("omega", "c2") if name == "stuart_landau" else ()
+        if set(params) != set(names):
+            raise ValueError(f"{name} takes parameters {list(names)}, got "
+                             f"{sorted(params)}")
+        params = {p: float(params[p]) for p in names}
+        for p in names:
+            if not math.isfinite(params[p]):
+                raise ValueError(f"{name} {p} must be finite, got "
+                                 f"{params[p]!r}")
+        f = _field(name, params)
+        omega, c2 = (arg.imag for arg in f.args)
+        if omega - c2 <= 0.0:
+            raise ValueError(f"{name} needs omega - c2 > 0 for a forward-"
+                             f"rotating cycle, got {omega - c2:g}")
+        return OscillatorModel(name=name, dim=2, f=f,
+                               jacobian=_make_sl_jac(omega, c2),
+                               analytic_phase=_make_sl_phase(c2),
+                               analytic_prc=_make_sl_prc(c2), params=params)
     if name == "relaxation":
         extra = set(params) - {"mu"}
         if extra:
             raise ValueError(f"unknown relaxation parameters {sorted(extra)}")
         return relaxation_model(float(params.get("mu", 1.0)))
-    if name == "stuart_landau":
-        missing = {"omega", "c2"} - set(params)
-        if missing:
-            raise ValueError(f"stuart_landau requires parameters {sorted(missing)}")
-        extra = set(params) - {"omega", "c2"}
-        if extra:
-            raise ValueError(f"unknown stuart_landau parameters {sorted(extra)}")
-        omega = float(params["omega"])
-        c2 = float(params["c2"])
-        if omega - c2 <= 0.0:
-            raise ValueError(
-                f"stuart_landau needs omega - c2 > 0 for a forward-rotating "
-                f"cycle, got {omega - c2:g}"
-            )
-        return OscillatorModel(
-            name="stuart_landau",
-            dim=2,
-            f=_field("stuart_landau", {"omega": omega, "c2": c2}),
-            jacobian=_make_sl_jac(omega, c2),
-            analytic_phase=_make_sl_phase(c2),
-            analytic_prc=_make_sl_prc(c2),
-            params={"omega": omega, "c2": c2},
-        )
     if name == "custom":
         if "f" not in params or "dim" not in params:
             raise ValueError("custom model requires 'f' and 'dim'")

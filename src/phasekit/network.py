@@ -16,12 +16,14 @@ as given, which is exactly how first-order reduction failures are reproduced
 on purpose.
 
 A full run integrates the network as one system whose right-hand side
-evaluates each built-in model family once per call: the nodes of a family
-(models that `make_model` built, by name) form one (..., g, dim) block, and
-their parameters (Stuart-Landau omega and c2, relaxation mu) are bound as
-(g,) arrays along the node axis.  A family of one node, and every custom
-model, is evaluated on its own.  Each element is the same arithmetic as a
-call per node, so the results do not depend on the grouping.
+evaluates each built-in model family once per call.  There are two
+families: circular (radial, spiral and Stuart-Landau, which share one
+field) and relaxation.  The nodes of a family (models that `make_model`
+built) form one (..., g, dim) block, and the args of its field (the
+circular alpha and beta, relaxation mu) are bound as (g,) arrays along the
+node axis.  A family of one node, and every custom model, is evaluated on
+its own.  Each element is the same arithmetic as a call per node, so the
+results do not depend on the grouping.
 
 Independent work runs in forked worker processes (`_parallel.pmap`):
 shooting the distinct node models of a spec, and in
@@ -45,8 +47,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import (TWO_PI, OscillatorModel, _field, _is_builtin,
-                     make_model, wrap_phase)
+from .models import (TWO_PI, OscillatorModel, _is_builtin, make_model,
+                     wrap_phase)
 from ._parallel import pmap
 from .ode import DEFAULT_TOL, _run_solver
 from .cycles import LimitCycle, _default_guess, find_limit_cycle
@@ -362,14 +364,15 @@ def _entry_signal(spec: NetworkSpec, a, b, c, t):
 
 
 def _edge_average(z_vals, pts_i, pts_j, h):
-    """qbar(phi_k) = mean_s Z(s) . h(gamma_i(s), gamma_j(s + phi_k))."""
+    """qbar(phi_k) = mean_s Z(s) . h(gamma_i(s), gamma_j(s + phi_k)).
+
+    One call of h on the (M, M, dim) block of all M shifts, row k holding
+    gamma_j rolled by -k.
+    """
     m = len(z_vals)
-    out = np.empty(m)
-    for k in range(m):
-        shifted = np.roll(pts_j, -k, axis=0)
-        hv = _pair_values(h, pts_i, shifted)
-        out[k] = np.mean(np.sum(z_vals * hv, axis=1))
-    return out
+    shifted = pts_j[(np.arange(m)[:, None] + np.arange(m)) % m]
+    hv = _pair_values(h, np.broadcast_to(pts_i, shifted.shape), shifted)
+    return np.mean(np.sum(z_vals * hv, axis=-1), axis=-1)
 
 
 def _start_phases(theta0, n: int) -> np.ndarray:
@@ -437,16 +440,18 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
 def _node_fields(models) -> list:
     """(nodes, field) pairs that together evaluate every node's field.
 
-    The nodes of a built-in family (`_is_builtin`, the rule `_model_key`
-    keys by) share one call on their (..., g, dim) block, with each
-    parameter bound as the (g,) array of the nodes' values; each element is
-    the same IEEE operation on the same operands as in a call per node.  A
-    family of one node, and every other model, keep a call of their own
+    Nodes whose models are built-ins (`_is_builtin`, the rule `_model_key`
+    keys by) with the same field share one call on their (..., g, dim)
+    block: every circular node (radial, spiral, Stuart-Landau) one call,
+    every relaxation node another.  Each arg of the field (alpha and beta,
+    or mu) is bound as the (g,) array of the nodes' values, so each element
+    is the same IEEE operation on the same operands as in a call per node.
+    A field of one node, and every other model, keep a call of their own
     f_batch.
     """
     families = {}
     for i, model in enumerate(models):
-        families.setdefault(model.name if _is_builtin(model) else i,
+        families.setdefault(model.f.func if _is_builtin(model) else i,
                             []).append(i)
     fields = []
     for nodes in families.values():
@@ -454,9 +459,9 @@ def _node_fields(models) -> list:
         if len(nodes) == 1:
             fields.append((nodes[0], first.f_batch))
             continue
-        params = {p: np.array([models[i].params[p] for i in nodes],
-                              dtype=float) for p in first.params}
-        fields.append((np.array(nodes), _field(first.name, params)))
+        args = zip(*(models[i].f.args for i in nodes))
+        fields.append((np.array(nodes),
+                       partial(first.f.func, *map(np.array, args))))
     return fields
 
 

@@ -250,9 +250,18 @@ def test_family_rhs_matches_the_per_node_rhs_bit_for_bit(case, k):
                                       per_node_rhs(spec, epsilons, t, y))
 
 
+def circular_trio():
+    """Radial, spiral and Stuart-Landau nodes: one circular family."""
+    trio = [make_model("radial"), make_model("spiral"),
+            make_model("stuart_landau", omega=2.0, c2=1.0)]
+    return NetworkSpec(models=trio, epsilon=0.1,
+                       a=np.ones((3, 3)) - np.eye(3), coupling="diffusive")
+
+
 @pytest.mark.parametrize("case, calls, block", [
     ("ring", 2, (1, 4, 2)),
-    ("subharmonic pair", 2, (1, 2))])
+    ("subharmonic pair", 2, (1, 2)),
+    ("radial/spiral/stuart_landau", 1, (1, 3, 2))])
 def test_each_family_is_evaluated_once_per_rhs_call(monkeypatch, case, calls,
                                                      block):
     shapes = []
@@ -263,8 +272,11 @@ def test_each_family_is_evaluated_once_per_rhs_call(monkeypatch, case, calls,
             return field(*args)
         return f
 
-    for name, (field, params) in list(models._FIELDS.items()):
-        monkeypatch.setitem(models._FIELDS, name, (counted(field), params))
+    # one counter per field, which the circular names share
+    counters = {}
+    for name, (field, bind) in list(models._FIELDS.items()):
+        counter = counters.setdefault(field, counted(field))
+        monkeypatch.setitem(models._FIELDS, name, (counter, bind))
     per_eval = []
     real_run_solver = network._run_solver
 
@@ -277,7 +289,9 @@ def test_each_family_is_evaluated_once_per_rhs_call(monkeypatch, case, calls,
         return real_run_solver(rhs_counted, *args, **kwargs)
 
     monkeypatch.setattr(network, "_run_solver", run_solver)
-    spec = modulated_ring() if case == "ring" else subharmonic_pair(0.02, 0.05)
+    spec = {"ring": modulated_ring,
+            "subharmonic pair": lambda: subharmonic_pair(0.02, 0.05),
+            "radial/spiral/stuart_landau": circular_trio}[case]()
     traj = simulate_full(spec, (0.0, 2.0))
     assert len(traj.times) > 2 and per_eval
     assert all(seen == [block] * calls for seen in per_eval)
@@ -509,6 +523,27 @@ def modulated_ring(n=8):
         c[i, nxt] = -0.1
     return NetworkSpec(models=models, epsilon=0.05, a=a, b=b, c=c,
                        nu1=np.sqrt(2.0), nu2=1.0, coupling="diffusive")
+
+
+def edge_average_per_shift(z_vals, pts_i, pts_j, h):
+    """The edge average with one h call per phase shift: the reference for
+    the one-call `network._edge_average`."""
+    out = np.empty(len(z_vals))
+    for k in range(len(z_vals)):
+        hv = np.asarray(h(pts_i, np.roll(pts_j, -k, axis=0)), dtype=float)
+        out[k] = np.mean(np.sum(z_vals * hv, axis=1))
+    return out
+
+
+@pytest.mark.parametrize("coupling", [*COUPLING_NAMES, "custom"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_edge_average_matches_the_per_shift_loop_bit_for_bit(coupling, dim):
+    h = COUPLING_NAMES.get(coupling, lambda xi, xj: np.sin(xj) * xi - xj * xj)
+    z_vals, pts_i, pts_j = np.random.default_rng(dim).normal(size=(3, 64,
+                                                                    dim))
+    np.testing.assert_array_equal(
+        network._edge_average(z_vals, pts_i, pts_j, h),
+        edge_average_per_shift(z_vals, pts_i, pts_j, h))
 
 
 @pytest.mark.parametrize("edges", ["ring", "none"])

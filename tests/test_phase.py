@@ -367,11 +367,13 @@ def unit_circle_cycle(period, m=256, dim=2):
 
 
 @pytest.mark.parametrize("model, period, bound", [
-    # the integrated adjoint gave 8.3e-13 and 1.2e-11 on these cycles;
-    # collocation measured 2.1e-14 and 2.8e-14
+    # the integrated adjoint gave 8.3e-13 and 1.2e-11 on the spiral and
+    # Stuart-Landau cycles; collocation measured 2.7e-14 and 2.8e-14, and
+    # 8.0e-15 on the radial one
     (pk.make_model("spiral"), TWO_PI, 4.3e-13),
     (pk.make_model("stuart_landau", omega=3.0, c2=1.0), math.pi, 4.9e-13),
-], ids=["spiral", "stuart_landau"])
+    (pk.make_model("radial"), TWO_PI, 4.3e-13),
+], ids=["spiral", "stuart_landau", "radial"])
 def test_adjoint_matches_the_closed_form_on_exact_cycles(model, period, bound):
     sens = pk.phase_sensitivity(model, unit_circle_cycle(period))
     assert np.max(np.abs(sens.values - model.analytic_prc(sens.grid))) < bound
