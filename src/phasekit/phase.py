@@ -10,13 +10,15 @@ projected: no other state can already sit that close to the cycle.  The
 projections of a large batch run in forked worker processes
 (`LimitCycle.project`).
 
-Isochrons are grown from the cycle by the inverse route: seed points a few
-microns off the cycle along the isochron tangent and map them outward with
-whole backward periods, which preserves their phase while the contraction
-rate amplifies the offset to the requested distance.  The two sides of the
-cycle are mapped independently, in forked worker processes
-(`_parallel.pmap`), with the same bits as a serial run; each probe of a side
-steps the endpoint-only solver with an escape guard.
+Isochrons are grown from the cycle as invariant curves of the backward
+time-T map: a seed off the cycle along the isochron tangent keeps its phase
+under whole backward periods while the contraction rate amplifies its
+offset.  Radius need not be monotone along an isochron, so each requested
+radius is taken where the branch of mapped seeds first crosses it: a
+bisection bounds the seeds, one sampled batch brackets every crossing, and a
+batched regula falsi closes the brackets.  The two sides of the cycle are
+mapped in forked worker processes (`_parallel.pmap`), with the same bits as
+a serial run.
 
 The adjoint sensitivity integrates nothing: it is the kernel of a Fourier
 collocation matrix on the cycle grid (Trefethen 2000, ch. 3).
@@ -31,7 +33,7 @@ import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
 from ._parallel import pmap
-from .ode import IntegrationError, _endpoint, flow_batch
+from .ode import IntegrationError, _as_rhs, _endpoint, flow_batch
 from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
 
 __all__ = [
@@ -50,6 +52,7 @@ _GEOM_TOL = (1e-11, 1e-13)
 _SETTLED_DIST = 1e-9   # asymptotic_phase's distance from the cycle when done
 _COLLOCATION_MAX_SIZE = 2048   # largest grid_size * dim the adjoint takes
 _COLLOCATION_RESIDUAL = 1e-8   # largest |L z| / |L| of its null vector
+_ISOCHRON_PASSES = 30          # most bisection steps or regula falsi passes
 
 
 class PhaseConvergenceError(RuntimeError):
@@ -145,28 +148,35 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
                      sens: Optional[PhaseSensitivity] = None) -> Isochron:
     """Sample the isochron of phase theta across the given range of |x|.
 
-    Planar models only.  Points within ~1e-4 of the cycle come from direct
-    seeding along the isochron tangent; farther points seed microscopically
-    close to the cycle and are carried outward by whole backward periods
-    (which leave the phase untouched), with a secant pass on the seed size so
-    the achieved radii land on the requested grid; the inner and outer sides
+    Planar models only.  Points within 1e-4 of the cycle are seeded along
+    the isochron tangent.  Each farther radius r is the first crossing of
+    |x| = r by the branch that whole backward periods map tangent seeds
+    onto, hit within 1e-3 * |r - |gamma(theta)||; the inner and outer sides
     are mapped in two worker processes.  A side whose farthest target the
     contraction rate's depth cannot reach is mapped again one period deeper,
-    while its smallest seed stays well above roundoff.  The cycle point
-    gamma(theta) is always included and points are ordered by radius.
-    n_points must be at least 1.  Every point's asymptotic phase is then
-    checked: the largest error is phase_residual, and one of 1e-4 or more
-    raises IsochronError.
+    while its smallest seed stays well above roundoff; a side whose
+    crossings cannot be bracketed or closed raises IsochronError.  The cycle
+    point gamma(theta) is always included and points are ordered by radius.
+    A non-finite theta, a radial_range that is not two finite numbers (low,
+    high) and an n_points that is not an integer of at least 1 raise
+    ValueError.  Every point's asymptotic phase is then checked: the largest
+    error is phase_residual, and one of 1e-4 or more raises IsochronError.
     """
     if model.dim != 2:
         raise IsochronError("isochron sampling implemented for planar models")
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
-    theta = float(wrap_phase(theta))
-    g0 = cycle.gamma_at(theta)
-    r_lo, r_hi = float(radial_range[0]), float(radial_range[1])
+    if not isinstance(n_points, (int, np.integer)) or n_points < 1:
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    bounds = np.asarray(radial_range, dtype=float)
+    if bounds.shape != (2,) or not np.all(np.isfinite(bounds)):
+        raise ValueError(f"radial_range must be two finite numbers, "
+                         f"got {radial_range!r}")
+    r_lo, r_hi = float(bounds[0]), float(bounds[1])
     if r_lo > r_hi:
         raise ValueError("radial_range must be (low, high)")
+    theta = float(wrap_phase(theta))
+    g0 = cycle.gamma_at(theta)
     if model.basin_radius is not None and r_lo < model.basin_radius:
         raise IsochronError(
             f"requested radius {r_lo:g} reaches into the phaseless neighborhood"
@@ -180,21 +190,19 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
     s_lin = 1e-4
 
     targets = np.linspace(r_lo, r_hi, n_points)
-    d_t = np.abs(targets - r_cycle)          # distance from the cycle
-    side = np.where(targets >= r_cycle, 1.0, -1.0)
-
-    direct = d_t <= s_lin
+    off = targets - r_cycle                  # signed distance from the cycle
+    direct = np.abs(off) <= s_lin
     pts = np.empty((n_points, 2))
-    pts[direct] = g0[None, :] + (side[direct] * d_t[direct])[:, None] * w[None, :]
+    pts[direct] = g0 + off[direct, None] * w
 
     r_cap = 4.0 * max(r_hi, float(np.linalg.norm(cycle.points, axis=1).max()))
-    sides = [(sgn, (~direct) & (side == sgn)) for sgn in (1.0, -1.0)]
+    sides = [(sgn, ~direct & (sgn * off > 0)) for sgn in (1.0, -1.0)]
     sides = [(sgn, sel) for sgn, sel in sides if np.any(sel)]
 
     def map_side(job):
         sgn, sel = job
-        return _map_isochron_side(model, cycle, g0, sgn * w, d_t[sel],
-                                  r_cycle, s_lin, r_cap)
+        return _map_isochron_side(model, cycle, g0, w, targets[sel], sgn,
+                                  s_lin, r_cap)
 
     for (_, sel), side_pts in zip(sides, pmap(map_side, sides)):
         pts[sel] = side_pts
@@ -212,43 +220,38 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
 
 
 def _probe_backward(model, cycle, x0, n_periods, r_cap):
-    """Backward-map one seed; return achieved distance-from-origin or None if
-    the trajectory escapes past r_cap (overshoot) or the solver breaks down."""
-
-    def rhs(t, y):
-        return np.asarray(model.f(y), dtype=float)
-
-    def escape(y):
-        return float(np.linalg.norm(y) - r_cap)
-
+    """Backward-map one seed; return achieved distance-from-origin, or inf
+    if the trajectory escapes past r_cap, overflows or breaks the solver."""
     try:
-        end = _endpoint(rhs, x0, (0.0, -n_periods * cycle.period), _GEOM_TOL,
-                        escape=escape)
-    except IntegrationError:
-        return None
-    return None if end is None else float(np.linalg.norm(end))
+        with np.errstate(over="raise", invalid="raise"):
+            end = _endpoint(_as_rhs(model)[0], x0,
+                            (0.0, -n_periods * cycle.period), _GEOM_TOL,
+                            escape=lambda y: np.linalg.norm(y) - r_cap)
+    except (IntegrationError, FloatingPointError):
+        return np.inf
+    return np.inf if end is None else float(np.linalg.norm(end))
 
 
-def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
-    """Map one side's targets (distances from the cycle, all > s_lin) onto the
-    isochron by whole backward periods.
+def _map_isochron_side(model, cycle, g0, w, targets, sgn, s_lin, r_cap):
+    """Map one side's target radii, each more than s_lin from |gamma(theta)|,
+    onto the branch of seeds g0 + s * sgn * w by whole backward periods.
 
-    The depth starts at the periods the linear contraction rate needs to
+    The depth m starts at the periods the linear contraction rate needs to
     carry s_lin out to the farthest target.  Inside a cycle the backward gain
-    saturates toward the focus, so where the farthest target cannot be
-    reached from a seed below s_lin the side is mapped again one period
-    deeper, for as long as the smallest seed, d_min * exp(lam * T * m), stays
+    saturates toward the focus, so while s_lin falls short of that target m
+    grows by one, as long as the smallest seed d_min * exp(lam * T * m) stays
     at or above 1e3 * eps * |gamma(theta)|; below that the seed is lost to
     roundoff in g0 + s * w, and IsochronError names the depths tried.
     """
     lam, t_per = cycle.floquet, cycle.period
-    d_max, d_min = float(d_targets.max()), float(d_targets.min())
+    d_t = np.abs(targets - np.linalg.norm(g0))
+    d_max, d_min = float(d_t.max()), float(d_t.min())
     m = max(1, int(np.ceil((np.log(d_max) - np.log(s_lin)) / (abs(lam) * t_per))))
     floor = 1e3 * np.finfo(float).eps * float(np.linalg.norm(g0))
     tried = []
     while True:
-        out = _map_isochron_depth(model, cycle, g0, w, d_targets, r_cycle,
-                                  s_lin, r_cap, m)
+        out = _map_isochron_depth(model, cycle, g0, w, targets, sgn, s_lin,
+                                  r_cap, m)
         if out is not None:
             return out
         tried.append(m)
@@ -263,107 +266,79 @@ def _map_isochron_side(model, cycle, g0, w, d_targets, r_cycle, s_lin, r_cap):
                 f"{np.linalg.norm(g0):.3g}")
 
 
-def _map_isochron_depth(model, cycle, g0, w, d_targets, r_cycle, s_lin,
-                        r_cap, m):
-    """_map_isochron_side at m backward periods; None when the farthest
-    target needs a seed larger than s_lin.
+def _map_isochron_depth(model, cycle, g0, w, targets, sgn, s_lin, r_cap, m):
+    """_map_isochron_side at m backward periods; None when the seed s_lin
+    does not carry the branch past the farthest target.
 
-    The seed-size-to-achieved-distance curve is monotone but strongly
-    nonlinear, and too-large outward seeds escape to infinity in less than a
-    period; so the largest target's seed is located first by a cap-guarded
-    bracketed search, every sample of the curve is collected along the way,
-    and all remaining targets are then predicted by log-log interpolation and
-    polished with clamped ratio corrections in one batch per pass.
+    Each target r is the branch's first crossing of |x| = r, a root in log s
+    of sgn * (|x(s)| - r) for the point x(s) seed s maps to (an escape
+    counts as radius inf).  A bisection on the escape-guarded probe, down
+    from s_lin toward s_lin * exp(lam T m), finds a seed s_far that lands
+    past the farthest target by at most 5% of its distance d_max.  One batch
+    of 2n + 16 geometric seeds up to s_far, from below the linear and the
+    s_far-scaled seed of the nearest target, brackets each first crossing,
+    and a batched Illinois regula falsi closes each bracket to 1e-3 of the
+    target's distance, one batch per pass.
     """
-    lam, t_per = cycle.floquet, cycle.period
-    d_max, d_min = float(d_targets.max()), float(d_targets.min())
-    amp = np.exp(lam * t_per * m)
+    d_t = np.abs(targets - np.linalg.norm(g0))
+    d_max, d_min = float(d_t.max()), float(d_t.min())
+    r_far = float(targets[np.argmax(d_t)])
+    step, log_amp = sgn * w, cycle.floquet * cycle.period * m
 
-    def seed_point(s):
-        return g0 + s * w
+    def rho_far(log_s):
+        x0 = g0 + np.exp(log_s) * step
+        return sgn * (_probe_backward(model, cycle, x0, m, r_cap) - r_far)
 
-    def probe(s):
-        return _probe_backward(model, cycle, seed_point(s), m, r_cap)
+    def branch(log_s, r):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                pts = flow_batch(model, g0 + np.exp(log_s)[:, None] * step,
+                                 -m * cycle.period, _GEOM_TOL)
+        except (IntegrationError, FloatingPointError) as exc:
+            raise IsochronError(f"backward map of {len(log_s)} seeds over "
+                                f"{m} periods failed: {exc}") from None
+        return pts, sgn * (np.linalg.norm(pts, axis=-1) - r)
 
-    samples = []  # (seed size, achieved distance)
-
-    def classified_probe(s):
-        rad = probe(s)
-        if rad is None:
-            return np.inf
-        d = abs(rad - r_cycle)
-        samples.append((s, d))
-        return d
-
-    # Low anchor: deep in the linear regime the gain is exp(|lam| T m) exactly.
-    s_low = min(d_min, s_lin) * amp
-    if not np.isfinite(classified_probe(s_low)):
-        raise IsochronError("backward mapping failed at the smallest seed")
-
-    # Bracket the seed of the farthest target: grow from a deliberate
-    # undershoot, shrinking away from escapes.
-    s_lo_br = d_lo_br = s_hi_br = d_hi_br = None
-    s = 0.3 * d_max * amp
-    for _ in range(80):
-        d_here = classified_probe(s)
-        if d_here < d_max:
-            s_lo_br, d_lo_br = s, d_here
-        else:
-            s_hi_br, d_hi_br = s, d_here
-        if s_lo_br is not None and s_hi_br is not None:
+    lo, hi = np.log(s_lin) + log_amp, np.log(s_lin)
+    rho_hi = rho_far(hi)
+    if rho_hi < 0:
+        return None
+    for _ in range(_ISOCHRON_PASSES):
+        if rho_hi <= 0.05 * d_max:
             break
-        if s_lo_br is None:
-            s = s / 2.5
-            continue
-        if s >= s_lin * 0.999999:
-            return None
-        s = min(s * 1.6, s_lin)
-    if s_lo_br is None or s_hi_br is None:
-        raise IsochronError("could not bracket the farthest target's seed")
+        mid = 0.5 * (lo + hi)
+        rho = rho_far(mid)
+        lo, hi, rho_hi = (mid, hi, rho_hi) if rho < 0 else (lo, mid, rho)
+    else:
+        raise IsochronError(f"no finite branch point just past radius "
+                            f"{r_far:g} after {m} periods")
 
-    # Log-log bisection/secant until the far target is hit to 0.1%.
-    for _ in range(40):
-        if abs(d_lo_br - d_max) / d_max < 1e-3:
-            break
-        if np.isfinite(d_hi_br) and d_hi_br > 0.0:
-            f_lo = np.log(d_lo_br / d_max)
-            f_hi = np.log(d_hi_br / d_max)
-            t_mid = min(0.9, max(0.1, f_lo / (f_lo - f_hi)))
-            s_mid = np.exp(np.log(s_lo_br)
-                           + t_mid * (np.log(s_hi_br) - np.log(s_lo_br)))
-        else:
-            s_mid = np.sqrt(s_lo_br * s_hi_br)
-        d_mid = classified_probe(s_mid)
-        if d_mid < d_max:
-            s_lo_br, d_lo_br = s_mid, d_mid
-        else:
-            s_hi_br, d_hi_br = s_mid, d_mid
-    if not np.isfinite(d_hi_br) and abs(d_lo_br - d_max) / d_max > 0.05:
-        raise IsochronError("farthest target sits too close to the escape "
-                            "boundary to resolve")
-    s_star = s_hi_br if (np.isfinite(d_hi_br)
-                         and abs(d_hi_br - d_max) < abs(d_lo_br - d_max)) \
-        else s_lo_br
-
-    # Predict every target from the sampled curve, then polish in batches.
-    samples.sort()
-    s_arr = np.array([p[0] for p in samples])
-    d_arr = np.array([p[1] for p in samples])
-    keep = np.concatenate([[True], np.diff(d_arr) > 0])
-    s_arr, d_arr = s_arr[keep], d_arr[keep]
-    seeds = np.exp(np.interp(np.log(d_targets), np.log(d_arr), np.log(s_arr)))
-    seeds = np.minimum(seeds, s_star)
-    out = None
-    for _ in range(3):
-        out = flow_batch(model, g0[None, :] + seeds[:, None] * w[None, :],
-                         -m * t_per, _GEOM_TOL)
-        achieved = np.abs(np.linalg.norm(out, axis=1) - r_cycle)
-        rel = np.abs(achieved - d_targets) / d_targets
-        if rel.max() < 1e-3:
-            break
-        seeds = np.minimum(seeds * (d_targets / np.maximum(achieved, 1e-300)),
-                           s_star)
-    return out
+    log_lo = min(np.log(d_min) + log_amp, hi + np.log(d_min / d_max)) - np.log(2)
+    log_s = np.linspace(log_lo, hi, 2 * len(targets) + 16)
+    rho = branch(log_s, targets[:, None])[1]         # (n, samples)
+    k = np.argmax(rho >= 0, axis=1)                  # first crossing, or 0
+    if np.any(k == 0):
+        raise IsochronError(f"the sampled branch does not bracket every "
+                            f"target radius after {m} periods")
+    pair = np.stack([k - 1, k])                      # rows: below, past
+    ends, vals = log_s[pair], rho[np.arange(len(k)), pair]
+    last = np.full(len(k), -1)
+    out, todo = np.empty((len(k), 2)), np.arange(len(k))
+    for _ in range(_ISOCHRON_PASSES):
+        if todo.size == 0:
+            return out
+        (a, b), (fa, fb) = ends[:, todo], vals[:, todo]
+        c = b - fb * (b - a) / (fb - fa)             # fa < 0 <= fb
+        pts, fc = branch(c, targets[todo])
+        end = (fc >= 0).astype(int)
+        # Illinois: an end kept twice in a row has its value halved
+        vals[1 - end, todo] *= np.where(end == last[todo], 0.5, 1.0)
+        ends[end, todo], vals[end, todo], last[todo] = c, fc, end
+        hit = np.abs(fc) <= 1e-3 * d_t[todo]
+        out[todo[hit]] = pts[hit]
+        todo = todo[~hit]
+    raise IsochronError(f"{todo.size} isochron point(s) missed their radius "
+                        f"after {_ISOCHRON_PASSES} passes")
 
 
 def _circ_diff(a, b):

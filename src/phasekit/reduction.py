@@ -299,10 +299,12 @@ def lock_analysis(delta: float, eps: float,
     bracketed sign change refined with Brent's method (`brentq`); a root is
     stable when the right-hand side has negative slope there.  Stable and
     unstable points alternate around the circle whenever the locking
-    inequality is strict.
+    inequality is strict.  A non-finite delta or eps raises ValueError.
     """
-    delta = float(delta)
-    eps = float(eps)
+    delta, eps = float(delta), float(eps)
+    if not (np.isfinite(delta) and np.isfinite(eps)):
+        raise ValueError(f"delta and eps must be finite, got {delta!r}, "
+                         f"{eps!r}")
     q = _as_coupling_callable(coupling)
 
     def rhs(psi):

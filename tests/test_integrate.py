@@ -204,13 +204,27 @@ def test_flow_batch_blow_up_is_an_integration_error():
         flow_batch(m, np.ones((3, 1)), 2.0)
 
 
+def test_basin_guard_stops_a_trajectory_on_entry():
+    # x' = -x from radius 1 enters the ball of radius 1e-3 at t = ln 1000
+    m = pk.make_model("custom", f=lambda x: -x, dim=2, basin_radius=1e-3,
+                      vectorized=True)
+    at_entry = f"phaseless neighborhood at t = {math.log(1000.0):.6g}$"
+    with pytest.raises(pk.PhaselessStateError, match=at_entry):
+        pk.integrate(m, [1.0, 0.0], (0.0, 20.0))
+    with pytest.raises(pk.PhaselessStateError, match=at_entry):
+        pk.flow(m, [1.0, 0.0], 20.0)
+    # x[1] decays toward the section x[1] = 0 without reaching it
+    with pytest.raises(pk.PhaselessStateError, match="before crossing"):
+        pk.find_crossing(m, [1.0, -0.5], Section(lambda x: x[1]), 20.0)
+
+
 def test_flow_batch_of_an_empty_stack():
     m = pk.make_model("spiral")
     assert flow_batch(m, np.empty((0, 2)), 2.0).shape == (0, 2)
 
 
 def test_flow_batch_memory_is_bounded(spiral_cycle):
-    # keeping every solver step costs ~1240x the stack; the endpoint ~15x
+    # keeping every solver step costs ~1240x the stack; the endpoint ~30x
     m, cyc = spiral_cycle
     rng = np.random.default_rng(7)
     ang = rng.uniform(0.0, 2 * math.pi, 4000)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -215,11 +216,56 @@ def test_states_that_miss_the_settle_budget_raise(monkeypatch, spiral_cycle):
     assert _SETTLED_DIST < worst < 1.0
 
 
-@pytest.mark.parametrize("n_points", [0, -3])
+@pytest.mark.parametrize("n_points", [0, -3, 2.5])
 def test_isochron_needs_at_least_one_point(radial_cycle, n_points):
     m, cyc = radial_cycle
     with pytest.raises(ValueError, match="n_points"):
         pk.compute_isochron(m, cyc, 0.0, (0.3, 2.0), n_points=n_points)
+
+
+@pytest.mark.parametrize("theta, radial_range, name", [
+    (math.nan, (0.3, 2.0), "theta"),
+    (-math.inf, (0.3, 2.0), "theta"),
+    (0.0, (0.3, math.inf), "radial_range"),
+    (0.0, (math.nan, 2.0), "radial_range"),
+    (0.0, (0.3, 1.0, 2.0), "radial_range"),
+])
+def test_isochron_rejects_bad_input_before_the_adjoint(monkeypatch, radial_cycle,
+                                                       theta, radial_range,
+                                                       name):
+    m, cyc = radial_cycle
+    monkeypatch.setattr(phase, "phase_sensitivity",
+                        lambda *args, **kwargs: pytest.fail("adjoint built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            pk.compute_isochron(m, cyc, theta, radial_range, n_points=10)
+
+
+def assert_on_target_radii(iso, cyc, radial_range, n_points):
+    """Besides gamma(theta), iso holds n_points distinct points, each within
+    1e-3 * |r - |gamma(theta)|| of its target radius r."""
+    g0 = cyc.gamma_at(iso.theta)
+    k = int(np.argmin(np.linalg.norm(iso.points - g0, axis=1)))
+    assert np.array_equal(iso.points[k], g0)
+    off = np.delete(iso.points, k, axis=0)
+    targets = np.linspace(*radial_range, n_points)
+    miss = np.abs(np.sort(np.linalg.norm(off, axis=1)) - targets)
+    assert np.all(miss <= 1e-3 * np.abs(targets - np.linalg.norm(g0)))
+    assert len(np.unique(off, axis=0)) == n_points
+
+
+@pytest.mark.parametrize("fixture", ["radial_cycle", "spiral_cycle",
+                                     "sl_cycle"])
+def test_isochron_points_land_on_their_radii(request, fixture):
+    m, cyc = request.getfixturevalue(fixture)
+    sens = pk.phase_sensitivity(m, cyc)
+    for theta in np.linspace(0.0, TWO_PI, 8, endpoint=False):
+        iso = pk.compute_isochron(m, cyc, theta, (0.3, 2.0), n_points=125,
+                                  sens=sens)
+        assert_on_target_radii(iso, cyc, (0.3, 2.0), 125)
+        # the closed-form phase of every point, the cycle point included
+        assert circ_err(m.analytic_phase(iso.points), theta) < 1e-9
 
 
 def _states_near_the_cycle(cyc):
@@ -319,6 +365,13 @@ def relaxation_cycle():
     return model, cyc, pk.phase_sensitivity(model, cyc)
 
 
+@pytest.fixture(scope="module")
+def stiff_relaxation_cycle():
+    model = pk.make_model("relaxation", mu=3.0)
+    cyc = pk.find_limit_cycle(model, (2.0, 0.0))
+    return model, cyc, pk.phase_sensitivity(model, cyc)
+
+
 @pytest.mark.parametrize("radial_range", [(0.3, 2.0), (0.5, 3.0)])
 @pytest.mark.parametrize("theta", [0.0, math.pi])
 def test_relaxation_isochron_reaches_inside_the_cycle(relaxation_cycle,
@@ -328,9 +381,27 @@ def test_relaxation_isochron_reaches_inside_the_cycle(relaxation_cycle,
                               sens=sens)
     phases = pk.asymptotic_phase(m, cyc, iso.points)
     assert circ_err(phases, np.full(len(iso.points), theta)) < 1e-4
-    # the innermost requested radius is reached
-    radii = np.linalg.norm(iso.points, axis=1)
-    assert abs(radii.min() - radial_range[0]) < 1e-2
+    # radius folds along these isochrons: each point is the first crossing
+    # of its radius, not one fold's radius repeated
+    assert_on_target_radii(iso, cyc, radial_range, 20)
+
+
+@pytest.mark.parametrize("radial_range", [(0.3, 2.0), (0.5, 3.0), (1.0, 4.0)])
+def test_stiff_relaxation_isochron_lands_on_its_radii_or_raises(
+        stiff_relaxation_cycle, radial_range):
+    # at mu = 3 the backward map is stiff and many sides cannot be mapped:
+    # those raise IsochronError, with no other exception and no warning,
+    # and every isochron returned lands on its radii
+    m, cyc, sens = stiff_relaxation_cycle
+    for theta in np.linspace(0.0, TWO_PI, 8, endpoint=False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                iso = pk.compute_isochron(m, cyc, theta, radial_range,
+                                          n_points=20, sens=sens)
+            except pk.IsochronError:
+                continue
+        assert_on_target_radii(iso, cyc, radial_range, 20)
 
 
 def test_isochron_depth_stops_before_seeds_reach_roundoff(monkeypatch,

@@ -172,6 +172,13 @@ def test_lock_analysis_without_coupling(delta, locked):
     assert res.condition_value == math.inf
 
 
+@pytest.mark.parametrize("delta, eps", [(math.nan, 0.1), (0.1, math.inf),
+                                        (-math.inf, 1.0), (0.2, math.nan)])
+def test_lock_analysis_rejects_non_finite_inputs(delta, eps):
+    with pytest.raises(ValueError, match="delta and eps must be finite"):
+        lock_analysis(delta, eps, np.sin)
+
+
 def test_lock_analysis_out_of_range():
     res = lock_analysis(1.4, 1.0, lambda psi: -np.sin(psi))
     assert not res.locked
