@@ -7,14 +7,16 @@ runs land on the same parameterization.
 
 The interpolant's complex products run in row blocks small enough for
 OpenBLAS to keep on one thread, so their bits do not depend on the BLAS
-thread count.  `LimitCycle.project` works on stacks in blocks of
-`_PROJECT_CHUNK` rows, and a stack of two or more blocks is projected in
-forked worker processes (`_parallel.pmap`) with the same bits.  Each block
-task finds every row's nearest grid node, then runs four Newton steps from
-it; the first step's exponential table is computed once per distinct start
-node, not once per row.  `asymptotic_phase` settles its stack through the
-same block tasks, which refine only the rows that can lie within its
-settled distance of the cycle (see `LimitCycle._project_rows`).
+thread count.  `LimitCycle` keeps, next to its interpolant, a Taylor jet of
+the interpolant at every grid node.  `LimitCycle.project` finds each row's
+nearest grid node and runs Newton from it, evaluating the cycle and its
+first two derivatives by Horner on the jet of the node nearest the current
+phase; each row stops on its own step, so a row's bits depend on that row
+alone.  Stacks are projected in blocks of `_PROJECT_CHUNK` rows, and a
+stack of two or more blocks is projected in forked worker processes
+(`_parallel.pmap`) with the same bits.  `asymptotic_phase` settles its
+stack through the same block tasks, which refine only the rows that can lie
+within its settled distance of the cycle (see `LimitCycle._project_rows`).
 """
 
 from __future__ import annotations
@@ -39,10 +41,16 @@ __all__ = [
 
 # Rows per block in LimitCycle.project: its nearest-node search holds
 # (rows, grid_size) arrays, about 4 MB each at the default 256-point grid.
-# With single-threaded BLAS a row's product has the same bits in any block of
-# two or more rows, so blocking leaves the result unchanged, and the blocks
-# of a stack can run in worker processes.
+# A row's projection has the same bits in any block, so blocking leaves the
+# result unchanged, and the blocks of a stack can run in worker processes.
 _PROJECT_CHUNK = 2048
+
+# Terms of the per-node Taylor jets that LimitCycle.project evaluates.  At
+# most half a node spacing from its node the remainder is below
+# (pi/2)**24 / 24! ~ 8e-20 of the sum of |coefficients| of the interpolant.
+_JET_TERMS = 24
+_NEWTON_STEP = 1e-12   # a row's projection stops after a step this small
+_NEWTON_MAX = 16       # most Newton steps of one row
 
 # Largest rows * harmonics * d of one complex product in PeriodicInterpolant.
 # OpenBLAS runs products this small on one thread, so their bits do not
@@ -120,11 +128,20 @@ class PeriodicInterpolant:
         Bit-identical to separate __call__ and derivative calls, at a third
         of the complex exponentials.
         """
-        return self._jet(self._phases(theta))
-
-    def _jet(self, e):
-        """jet(theta) from e, the phase table of theta."""
+        e = self._phases(theta)
         return self._value(e), self._derivative(e, 1), self._derivative(e, 2)
+
+    def _node_jets(self, terms):
+        """(m, terms, d) Taylor coefficients at the grid nodes: entry j at
+        node n is D^j f(theta_n) * h**j / j!, with h = 2*pi/m the node
+        spacing, so that f(theta_n + u * h) = sum_j entry_j * u**j."""
+        ratio = 1j * (TWO_PI / self.m) * self._k[:, None] / np.arange(1, terms)
+        scale = np.cumprod(np.hstack([np.ones((len(self._k), 1)), ratio]),
+                           axis=1)                          # (K, terms)
+        w = (scale[:, :, None] * self._weights[:, None, :]).reshape(
+            len(self._k), terms * self.d)
+        e = self._phases(TWO_PI * np.arange(self.m) / self.m)
+        return np.real(self._product(e, w)).reshape(self.m, terms, self.d)
 
     @staticmethod
     def _product(e, w):
@@ -158,9 +175,11 @@ class LimitCycle:
     anchor: np.ndarray        # gamma(0), on the section
     floquet: float            # nontrivial Floquet exponent, < 0
     _interp: PeriodicInterpolant = field(init=False, repr=False)
+    _jets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._interp = PeriodicInterpolant(self.points)
+        self._jets = self._interp._node_jets(_JET_TERMS)
 
     @property
     def omega0(self) -> float:
@@ -196,12 +215,13 @@ class LimitCycle:
         """Orthogonal projection onto the cycle: (theta, distance).
 
         Accepts a single state (dim,) or a stack (K, dim).  theta solves
-        (x - gamma(theta)) . gamma'(theta) = 0 by four Newton steps from the
-        closest grid node.  Stacks are projected in blocks of about
-        _PROJECT_CHUNK rows, so memory stays bounded for any K; a stack of
-        two or more blocks is projected in forked worker processes
-        (`_parallel.pmap`), one block per task, with the same bits as a
-        serial run.
+        (x - gamma(theta)) . gamma'(theta) = 0 by Newton from the closest
+        grid node, each row until its own step is at most 1e-12 (at most 16
+        steps); see `_newton`.  A single state gets the bits of its row in
+        a stack.  Stacks are projected in blocks of about _PROJECT_CHUNK
+        rows, so memory stays bounded for any K; a stack of two or more
+        blocks is projected in forked worker processes (`_parallel.pmap`),
+        one block per task, with the same bits as a serial run.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -242,38 +262,64 @@ class LimitCycle:
 
     def _project_block(self, pts, reach):
         nearest, d2 = self._nearest_nodes(pts)
-        # a NaN row is not "far" and is refined, as every row once was
-        far = d2 > reach * reach
         theta = np.full(len(pts), np.nan)
         dist = np.full(len(pts), np.inf)
-        rows = np.flatnonzero(~far)
-        if len(rows) == 1 and len(pts) > 1:
-            # numpy's one-row product rounds differently from the same row
-            # in a larger product: refine a lone row twice over
-            rows = np.repeat(rows, 2)
-        if len(rows):
-            theta[rows], dist[rows] = self._newton(pts[rows], nearest[rows])
+        # a NaN row is not "far" and is refined, as every row once was
+        rows = np.flatnonzero(~(d2 > reach * reach))
+        theta[rows], dist[rows] = self._newton(pts[rows], nearest[rows])
         return theta, dist
 
     def _newton(self, pts, nodes):
-        """Four Newton steps from the grid nodes `nodes`: (theta, dist).
+        """Newton on (x - gamma(theta)) . gamma'(theta) = 0 from the grid
+        nodes `nodes`: (theta, dist).
 
-        The first step's phase table is computed for the distinct nodes
-        only, at most grid_size rows, and gathered for the rows.
+        Each row steps until its own step is at most _NEWTON_STEP, or
+        _NEWTON_MAX times, so its bits depend on that row alone.  gamma and
+        its first two derivatives come by Horner from the Taylor jet of the
+        node nearest the current theta (`_taylor`), in units of the node
+        spacing h.
         """
-        interp = self._interp
-        starts, row_start = np.unique(nodes, return_inverse=True)
+        h = TWO_PI / self.grid_size
         theta = self.grid[nodes]
-        e = interp._phases(self.grid[starts])[row_start]
-        for step in range(4):
-            if step:
-                e = interp._phases(theta)
-            g, dg, d2g = interp._jet(e)
-            res = ((pts - g) * dg).sum(axis=1)
-            slope = -(dg * dg).sum(axis=1) + ((pts - g) * d2g).sum(axis=1)
-            theta = theta - res / slope
+        todo = np.arange(len(pts))
+        for _ in range(_NEWTON_MAX):
+            if not todo.size:
+                break
+            g, g1, g2 = self._taylor(theta[todo], second=True)
+            r = pts[todo] - g
+            step = h * _rowdot(r, g1) / (_rowdot(g1, g1) - _rowdot(r, g2))
+            theta[todo] += step
+            todo = todo[np.abs(step) > _NEWTON_STEP]
         theta = wrap_phase(theta)
-        return theta, np.linalg.norm(pts - interp(theta), axis=1)
+        r = pts - self._taylor(theta)
+        return theta, np.sqrt(_rowdot(r, r))
+
+    def _taylor(self, theta, second=False):
+        """gamma at theta by Horner on the nearest node's jet; with
+        `second`, also its first and second derivatives in units of the
+        node spacing, (gamma, h gamma', h**2 gamma'')."""
+        s = theta / (TWO_PI / self.grid_size)
+        node = np.rint(s)
+        u = (s - node)[:, None]
+        node[np.isnan(u[:, 0])] = 0.0      # a NaN theta gives NaN values
+        c = self._jets[node.astype(int) % self.grid_size]
+        g = c[:, -1]
+        g1 = g2 = np.zeros_like(g)
+        for j in range(_JET_TERMS - 2, -1, -1):
+            if second:
+                g2 = g2 * u + g1
+                g1 = g1 * u + g
+            g = g * u + c[:, j]
+        return (g, g1, 2.0 * g2) if second else g
+
+
+def _rowdot(a, b):
+    """Row-wise dot product, summed one coordinate at a time so that a row's
+    bits do not depend on the other rows."""
+    out = a[:, 0] * b[:, 0]
+    for i in range(1, a.shape[1]):
+        out += a[:, i] * b[:, i]
+    return out
 
 
 def _section_y(x):

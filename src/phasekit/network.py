@@ -535,16 +535,23 @@ def network_phases(spec: NetworkSpec, traj: NetworkTrajectory) -> np.ndarray:
     """Asymptotic phase of every node at every sample of a full trajectory,
     unwrapped along the samples.
 
-    Uses the per-node closed-form phase map when the model carries one,
-    otherwise settles the node's states numerically, batched per node.
+    Uses the per-node closed-form phase map when the model carries one.
+    The other nodes are settled numerically, in one `asymptotic_phase` call
+    per distinct cycle (nodes share a cycle object only when their models
+    are equal), over their states stacked node by node.
     """
     out = np.empty((len(traj.times), spec.n_nodes))
+    numeric = {}
     for i, (model, cycle) in enumerate(zip(spec.models, spec.cycles())):
-        states = traj.states[:, i, :]
         if model.analytic_phase is not None:
-            out[:, i] = model.analytic_phase(states)
+            out[:, i] = model.analytic_phase(traj.states[:, i, :])
         else:
-            out[:, i] = asymptotic_phase(model, cycle, states)
+            numeric.setdefault(id(cycle), (model, cycle, []))[2].append(i)
+    for model, cycle, nodes in numeric.values():
+        states = traj.states[:, nodes, :].transpose(1, 0, 2)
+        theta = asymptotic_phase(model, cycle,
+                                 states.reshape(-1, states.shape[-1]))
+        out[:, nodes] = theta.reshape(len(nodes), -1).T
     return np.unwrap(out, axis=0)
 
 

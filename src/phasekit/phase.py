@@ -4,7 +4,9 @@ The asymptotic phase of a state is computed by letting the flow carry it onto
 the cycle in whole-period steps: the phase is invariant under time-T maps, so
 the projection of the settled endpoint is already the answer, with no
 back-rotation bookkeeping.  Each projection runs Newton from the state's
-nearest grid node.  Before the first flow only the states whose nearest node
+nearest grid node on the cycle's per-node Taylor jets, until the state's own
+step is at most 1e-12, so a settled state projects to the same bits alone as
+in any batch.  Before the first flow only the states whose nearest node
 lies within the cycle's longest grid chord plus the settled distance are
 projected: no other state can already sit that close to the cycle.  The
 projections of a large batch run in forked worker processes
@@ -18,7 +20,8 @@ radius is taken where the branch of mapped seeds first crosses it: a
 bisection bounds the seeds, one sampled batch brackets every crossing, and a
 batched regula falsi closes the brackets.  The two sides of the cycle are
 mapped in forked worker processes (`_parallel.pmap`), with the same bits as
-a serial run.
+a serial run.  A radius within 1e-4 of the cycle point's is placed where the
+isochron tangent line crosses it.
 
 The adjoint sensitivity integrates nothing: it is the kernel of a Fourier
 collocation matrix on the cycle grid (Trefethen 2000, ch. 3).
@@ -77,7 +80,8 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
     refines only the states whose nearest grid node lies within the cycle's
     longest grid chord plus `_SETTLED_DIST`: no state farther out can
     project that close, so the rest are flowed without a projection.  Every
-    projection starts Newton at the nearest grid node.  States inside the
+    projection starts Newton at the nearest grid node and stops each state
+    on its own step (`LimitCycle._newton`).  States inside the
     excluded phaseless neighborhood are rejected; states that fail to
     approach the cycle within the settle budget raise PhaseConvergenceError.
     """
@@ -148,8 +152,10 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
                      sens: Optional[PhaseSensitivity] = None) -> Isochron:
     """Sample the isochron of phase theta across the given range of |x|.
 
-    Planar models only.  Points within 1e-4 of the cycle are seeded along
-    the isochron tangent.  Each farther radius r is the first crossing of
+    Planar models only.  A radius r within 1e-4 of |gamma(theta)| is placed
+    where the isochron tangent line through gamma(theta) crosses |x| = r on
+    r's side of the cycle; a radius the line does not reach there is mapped
+    with its side.  Each farther radius r is the first crossing of
     |x| = r by the branch that whole backward periods map tangent seeds
     onto, hit within 1e-3 * |r - |gamma(theta)||; the inner and outer sides
     are mapped in two worker processes.  A side whose farthest target the
@@ -191,9 +197,11 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
 
     targets = np.linspace(r_lo, r_hi, n_points)
     off = targets - r_cycle                  # signed distance from the cycle
-    direct = np.abs(off) <= s_lin
+    reach = np.array([_tangent_reach(g0, w, r) if abs(d) <= s_lin else np.nan
+                      for r, d in zip(targets, off)])
+    direct = ~np.isnan(reach)
     pts = np.empty((n_points, 2))
-    pts[direct] = g0 + off[direct, None] * w
+    pts[direct] = g0 + reach[direct, None] * w
 
     r_cap = 4.0 * max(r_hi, float(np.linalg.norm(cycle.points, axis=1).max()))
     sides = [(sgn, ~direct & (sgn * off > 0)) for sgn in (1.0, -1.0)]
@@ -217,6 +225,22 @@ def compute_isochron(model: OscillatorModel, cycle: LimitCycle, theta: float,
             f"isochron validation failed: max phase error {residual:.2e}"
         )
     return Isochron(theta=theta, points=pts, phase_residual=residual)
+
+
+def _tangent_reach(g0, w, r):
+    """The t nearest 0 with |g0 + t w| = r and the sign of r - |g0| (w a
+    unit vector), or NaN when the tangent line does not reach radius r on
+    that side."""
+    b = float(g0 @ w)
+    r0 = float(np.linalg.norm(g0))
+    c = (r0 - r) * (r0 + r)                  # t**2 + 2 b t + c = 0
+    disc = b * b - c
+    if disc < 0.0:
+        return np.nan
+    far = -b - np.copysign(np.sqrt(disc), b)
+    roots = [t for t in ((c / far, far) if far else (0.0,))
+             if t * (r - r0) >= 0.0]
+    return min(roots, key=abs) if roots else np.nan
 
 
 def _probe_backward(model, cycle, x0, n_periods, r_cap):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import phasekit as pk
+import phasekit._parallel as parallel
 from phasekit import UnstableCycleError, find_limit_cycle, floquet_exponent
 from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
 
-from conftest import scalar_only_radial, spiral_states, with_decaying_axis
+from conftest import (circ_err, scalar_only_radial, spiral_states,
+                      with_decaying_axis)
 
 TWO_PI = 2 * math.pi
 
@@ -267,8 +269,9 @@ def test_interpolant_nyquist_term_is_the_pure_cosine(m, d):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
-def _unblocked_project(cycle, pts):
-    """LimitCycle.project as one pass over the whole stack."""
+def _fourier_table_project(cycle, pts):
+    """LimitCycle.project as it was before the per-node jets: four Newton
+    steps from the nearest node, each on the full Fourier sums."""
     d2 = ((pts[:, None, :] - cycle.points[None, :, :]) ** 2).sum(axis=2)
     theta = cycle.grid[np.argmin(d2, axis=1)].astype(float)
     interp = cycle._interp
@@ -283,19 +286,25 @@ def _unblocked_project(cycle, pts):
     return theta, np.linalg.norm(pts - interp(theta), axis=1)
 
 
-_BLOCKED_CHECK = """
-import sys
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-import phasekit as pk
-from conftest import spiral_states
-from test_cycles import _PROJECT_CHUNK, _unblocked_project
-cyc = pk.find_limit_cycle(pk.make_model("spiral"), (0.5, 0.5))
-for k in (_PROJECT_CHUNK + 1, _PROJECT_CHUNK + 2, 2 * _PROJECT_CHUNK + 3):
-    pts = spiral_states(k)
-    for got, want in zip(cyc.project(pts), _unblocked_project(cyc, pts)):
-        np.testing.assert_array_equal(got, want)
-"""
+def _one_pass_project(cycle, pts):
+    """LimitCycle.project as one Newton pass over the whole stack, from the
+    nearest nodes of one (rows, M, dim) array of differences."""
+    d2 = ((pts[:, None, :] - cycle.points[None, :, :]) ** 2).sum(axis=2)
+    return cycle._newton(pts, np.argmin(d2, axis=1))
+
+
+def test_blocked_project_matches_one_pass_bitwise(monkeypatch, spiral_cycle):
+    # a row's projection depends on that row alone, so blocks, and the
+    # worker processes that run them, leave its bits unchanged
+    _, cyc = spiral_cycle
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+        for k in (_PROJECT_CHUNK + 1, _PROJECT_CHUNK + 2,
+                  2 * _PROJECT_CHUNK + 3):
+            pts = spiral_states(k)
+            for got, want in zip(cyc.project(pts),
+                                 _one_pass_project(cyc, pts)):
+                np.testing.assert_array_equal(got, want)
 
 
 def run_with_one_blas_thread(script):
@@ -305,12 +314,6 @@ def run_with_one_blas_thread(script):
         [sys.executable, "-c", script, os.path.dirname(__file__)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_blocked_project_matches_one_pass_bitwise():
-    # With one BLAS thread a row's product has the same bits in any block of
-    # two or more rows.
-    run_with_one_blas_thread(_BLOCKED_CHECK)
 
 
 _PRODUCT_CHECK = """
@@ -344,15 +347,14 @@ def test_row_blocks_cover_the_rows_without_a_lone_row(n, size):
 
 
 def test_project_rows_match_single_states(spiral_cycle):
-    # A single state runs numpy's one-row product, so it agrees with its row
-    # of a stack to rounding rather than bit for bit.
+    # each row stops on its own step, so a single state has the bits of its
+    # row in a stack
     _, cyc = spiral_cycle
     pts = spiral_states(_PROJECT_CHUNK + 2)
     theta, dist = cyc.project(pts)
     for i in (0, _PROJECT_CHUNK - 1, _PROJECT_CHUNK, _PROJECT_CHUNK + 1):
-        th_i, d_i = cyc.project(pts[i])
-        assert abs(th_i - theta[i]) < 1e-12
-        assert abs(d_i - dist[i]) < 1e-12
+        np.testing.assert_array_equal(cyc.project(pts[i]),
+                                      (theta[i], dist[i]))
 
 
 def test_project_of_an_empty_stack(spiral_cycle):
@@ -361,38 +363,46 @@ def test_project_of_an_empty_stack(spiral_cycle):
     assert theta.shape == (0,) and dist.shape == (0,)
 
 
-_PROJECTION_STEPS_CHECK = """
-import sys
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-import phasekit as pk
-from conftest import spiral_states, with_decaying_axis
-from test_cycles import _unblocked_project
-spiral = pk.make_model("spiral")
-planar = pk.find_limit_cycle(spiral, (0.5, 0.5))
-solid = pk.find_limit_cycle(with_decaying_axis(spiral, 3.0), (1.5, 0.1, 0.5))
-for cyc in (planar, solid):
-    for k in (1, 2, 127, 2049):
-        pts = spiral_states(k)
-        if cyc.points.shape[1] == 3:
-            pts = np.column_stack([pts, np.linspace(-0.5, 0.5, k)])
-        # the nearest node from one (rows, M, dim) array of differences
-        d2 = ((pts[:, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
-        nodes, node_d2 = cyc._nearest_nodes(pts)
-        np.testing.assert_array_equal(nodes, np.argmin(d2, axis=1))
-        np.testing.assert_array_equal(node_d2, d2.min(axis=1))
-        # Newton started from a phase table of every row
-        want = _unblocked_project(cyc, pts)
-        for got in (cyc._newton(pts, nodes), cyc.project(pts)):
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-"""
+def test_projection_steps_match_the_one_array_formulas_bitwise(spiral_cycle):
+    # the per-coordinate node search against one (rows, M, dim) array of
+    # differences, bit for bit, and the jet Newton against the Fourier-table
+    # Newton it replaces, on planar and 3-D cycles
+    model, planar = spiral_cycle
+    solid = find_limit_cycle(with_decaying_axis(model, 3.0), (1.5, 0.1, 0.5))
+    for cyc in (planar, solid):
+        for k in (1, 2, 127, 2049):
+            pts = spiral_states(k)
+            if cyc.points.shape[1] == 3:
+                pts = np.column_stack([pts, np.linspace(-0.5, 0.5, k)])
+            d2 = ((pts[:, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
+            nodes, node_d2 = cyc._nearest_nodes(pts)
+            np.testing.assert_array_equal(nodes, np.argmin(d2, axis=1))
+            np.testing.assert_array_equal(node_d2, d2.min(axis=1))
+            theta, dist = cyc._newton(pts, nodes)
+            for got, want in zip(cyc.project(pts), (theta, dist)):
+                np.testing.assert_array_equal(got, want)
+            old_theta, old_dist = _fourier_table_project(cyc, pts)
+            assert circ_err(theta, old_theta) <= 1e-13
+            assert np.abs(dist - old_dist).max() <= 1e-13
 
 
-def test_projection_steps_match_the_one_array_formulas_bitwise():
-    # the per-coordinate node search and the nodal-table Newton start, on
-    # planar and 3-D cycles, against the formulas they replace
-    run_with_one_blas_thread(_PROJECTION_STEPS_CHECK)
+@pytest.mark.parametrize("name, params, guess", [
+    ("spiral", {}, (0.5, 0.5)),
+    ("relaxation", {"mu": 1.0}, (2.0, 0.0)),
+    ("relaxation", {"mu": 3.0}, (2.0, 0.0)),
+])
+def test_node_jets_reproduce_the_fourier_sums(name, params, guess):
+    # the Taylor jet of the nearest node, within half a node spacing,
+    # against the interpolant's value and first two derivatives
+    cyc = find_limit_cycle(pk.make_model(name, **params), guess)
+    theta = np.random.default_rng(6).uniform(-1.0, 7.5, 500)
+    h = TWO_PI / cyc.grid_size
+    got = cyc._taylor(theta, second=True)
+    want = cyc._interp.jet(theta)
+    for order, (g, w) in enumerate(zip(got, want)):
+        scale = np.abs(w).max()
+        assert np.abs(g / h ** order - w).max() <= 2e-14 * scale
+    np.testing.assert_array_equal(cyc._taylor(theta), got[0])
 
 
 @pytest.mark.parametrize("name, params, guess", [

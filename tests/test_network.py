@@ -334,6 +334,31 @@ def test_network_phases_of_uncoupled_pair_advance_linearly():
     assert np.max(np.abs(phases - expect)) < 1e-6
 
 
+def test_network_phases_settle_once_per_numeric_cycle(monkeypatch):
+    # the two equal relaxation nodes share a cycle and one settle; the
+    # custom node has its own cycle and its own settle
+    relax = [make_model("relaxation", mu=1.0) for _ in range(2)]
+    spec = NetworkSpec(models=relax + [sl_field_named("custom", 2.0)],
+                       epsilon=0.05, a=np.ones((3, 3)) - np.eye(3),
+                       coupling="diffusive")
+    t_eval = np.linspace(0.0, 6.0, 40)
+    traj = simulate_full(spec, (0.0, 6.0), theta0=[0.3, 2.0, 4.0],
+                         t_eval=t_eval)
+    cycles = spec.cycles()
+    assert cycles[0] is cycles[1] and cycles[2] is not cycles[0]
+    settles = []
+    settle = network.asymptotic_phase
+    monkeypatch.setattr(network, "asymptotic_phase",
+                        lambda model, cycle, x: settles.append(len(x))
+                        or settle(model, cycle, x))
+    got = network_phases(spec, traj)
+    assert settles == [2 * len(t_eval), len(t_eval)]
+    for i, (model, cycle) in enumerate(zip(spec.models, cycles)):
+        solo = settle(model, cycle, traj.states[:, i, :])
+        diff = np.angle(np.exp(1j * (got[:, i] - solo)))
+        assert np.abs(diff).max() <= 1e-12
+
+
 def diffusive_where_distinct(xi, xj):
     """xj - xi, but NaN wherever the two states coincide (the diagonal)."""
     same = np.all(xi == xj, axis=-1, keepdims=True)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import phasekit as pk
 import phasekit._parallel as parallel
-from phasekit import LimitCycle, PeriodicInterpolant, PhaselessStateError, phase
+from phasekit import LimitCycle, PhaselessStateError, phase
 from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
 from phasekit.ode import flow_batch
 from phasekit.phase import _SETTLED_DIST
@@ -268,6 +268,22 @@ def test_isochron_points_land_on_their_radii(request, fixture):
         assert circ_err(m.analytic_phase(iso.points), theta) < 1e-9
 
 
+def test_isochron_points_near_the_cycle_land_on_their_radii(spiral_cycle,
+                                                             spiral_sens):
+    # radii within 1e-4 of |gamma(theta)| are placed on the isochron tangent
+    # line; the spiral's tangent crosses the circles at 45 degrees, so a
+    # step of r - |gamma| along it once missed by 29%
+    m, cyc = spiral_cycle
+    r0 = float(np.linalg.norm(cyc.gamma_at(0.0)))
+    targets = np.linspace(r0 - 5e-5, r0 + 5e-5, 3)
+    iso = pk.compute_isochron(m, cyc, 0.0, (targets[0], targets[-1]),
+                              n_points=3, sens=spiral_sens)
+    radii = np.linalg.norm(iso.points, axis=1)
+    for end, r in ((0, targets[0]), (-1, targets[-1])):
+        assert abs(radii[end] - r) <= 1e-3 * abs(r - r0)
+    assert circ_err(m.analytic_phase(iso.points), 0.0) < 1e-8
+
+
 def _states_near_the_cycle(cyc):
     """States at distance 0, 0.5e-9 and 2e-9 off a planar cycle, along its
     normal, at grid nodes and midway between them."""
@@ -324,18 +340,21 @@ def test_settle_reach_changes_no_phase(monkeypatch, spiral_cycle, name,
     np.testing.assert_array_equal(got, pk.asymptotic_phase(model, cyc, x))
 
 
-def test_first_pass_computes_exponentials_only_for_states_in_reach(
+def test_first_pass_evaluates_jets_only_for_states_in_reach(
         monkeypatch, spiral_cycle):
-    # rows handed to the interpolant's phase tables: in the first pass none
-    # for states out of reach, and every projection's first Newton step
-    # costs at most min(rows, M) rows
+    # rows handed to Newton and to the jet evaluations under it: in the
+    # first pass only the states in reach, block by block
     model, cyc = spiral_cycle
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
     log = []
-    tables = PeriodicInterpolant._phases
+    newton, taylor = LimitCycle._newton, LimitCycle._taylor
     monkeypatch.setattr(
-        PeriodicInterpolant, "_phases",
-        lambda self, theta: log.append(np.size(theta)) or tables(self, theta))
+        LimitCycle, "_newton",
+        lambda self, pts, nodes: log.append(pts) or newton(self, pts, nodes))
+    monkeypatch.setattr(
+        LimitCycle, "_taylor",
+        lambda self, theta, second=False:
+            log.append(len(theta)) or taylor(self, theta, second))
     flow = phase.flow_batch
     monkeypatch.setattr(phase, "flow_batch",
                         lambda *args: log.append(None) or flow(*args))
@@ -343,19 +362,14 @@ def test_first_pass_computes_exponentials_only_for_states_in_reach(
     pk.asymptotic_phase(model, cyc, pts)
 
     reach = cyc._longest_chord + _SETTLED_DIST
-    first_pass = []
+    first_pass = log[:[x is None for x in log].index(True)]
     for lo, hi in _row_blocks(len(pts), _PROJECT_CHUNK):
         d2 = ((pts[lo:hi, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
-        near = d2.min(axis=1) <= reach * reach
-        starts = np.unique(np.argmin(d2[near], axis=1))
-        if near.any():
-            # a lone row in reach is refined twice over, in a 2-row product
-            first_pass += [len(starts)] + [max(2, int(near.sum()))] * 4
-    assert log[:log.index(None)] == first_pass
-    calls = [rows for rows in log if rows is not None]
-    assert len(calls) % 5 == 0
-    for i in range(0, len(calls), 5):
-        assert calls[i] <= min(calls[i + 1], cyc.grid_size)
+        near = pts[lo:hi][d2.min(axis=1) <= reach * reach]
+        np.testing.assert_array_equal(first_pass.pop(0), near)
+        while first_pass and not isinstance(first_pass[0], np.ndarray):
+            assert first_pass.pop(0) <= len(near)
+    assert first_pass == []
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +398,28 @@ def test_relaxation_isochron_reaches_inside_the_cycle(relaxation_cycle,
     # radius folds along these isochrons: each point is the first crossing
     # of its radius, not one fold's radius repeated
     assert_on_target_radii(iso, cyc, radial_range, 20)
+
+
+def test_stiff_relaxation_projects_its_own_points(stiff_relaxation_cycle):
+    # four fixed Newton steps from the nearest node left theta off by up to
+    # 2.9e-7 and the distance at 4.5e-6 on this cycle
+    _, cyc, _ = stiff_relaxation_cycle
+    theta = np.random.default_rng(7).uniform(0.0, TWO_PI, 2000)
+    got, dist = cyc.project(cyc.gamma_at(theta))
+    assert circ_err(got, theta) <= 1e-12
+    assert dist.max() <= 1e-13
+
+
+def test_stiff_relaxation_states_settle(stiff_relaxation_cycle):
+    # 7 of these states once raised PhaseConvergenceError at a residual of
+    # 4.8e-6 that was the projection's, not the flow's
+    m, cyc, _ = stiff_relaxation_cycle
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0.0, TWO_PI, 4000)
+    radius = rng.uniform(0.3, 2.0, 4000)
+    x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    theta = pk.asymptotic_phase(m, cyc, x)
+    assert np.all((theta >= 0.0) & (theta < TWO_PI))
 
 
 @pytest.mark.parametrize("radial_range", [(0.3, 2.0), (0.5, 3.0), (1.0, 4.0)])
