@@ -15,8 +15,9 @@ phase; each row stops on its own step, so a row's bits depend on that row
 alone.  Stacks are projected in blocks of `_PROJECT_CHUNK` rows, and a
 stack of two or more blocks is projected in forked worker processes
 (`_parallel.pmap`) with the same bits.  `asymptotic_phase` settles its
-stack through the same block tasks, which refine only the rows that can lie
-within its settled distance of the cycle (see `LimitCycle._project_rows`).
+stack in the same blocks, one worker task per block; the task's first
+projection refines only the rows that can lie within its settled distance
+of the cycle (see `LimitCycle._project_block`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ def _row_blocks(n, size):
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _product_blocks(rows, width):
+    """Row blocks of a product of `rows` rows by `width` = harmonics * d
+    complex entries: at most _SMALL_PRODUCT entries, or three rows."""
+    return _row_blocks(rows, max(3, _SMALL_PRODUCT // width) - 1)
+
+
+def _map_blocks(fn, n):
+    """fn(lo, hi) over the `_PROJECT_CHUNK` row blocks of n rows, one block
+    per `pmap` task; the (theta, dist) pairs it returns, joined."""
+    parts = pmap(lambda b: fn(*b), _row_blocks(n, _PROJECT_CHUNK))
+    if not parts:
+        return np.empty(0), np.empty(0)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 class ShootingError(RuntimeError):
@@ -140,19 +156,21 @@ class PeriodicInterpolant:
                            axis=1)                          # (K, terms)
         w = (scale[:, :, None] * self._weights[:, None, :]).reshape(
             len(self._k), terms * self.d)
-        e = self._phases(TWO_PI * np.arange(self.m) / self.m)
-        return np.real(self._product(e, w)).reshape(self.m, terms, self.d)
+        nodes = TWO_PI * np.arange(self.m) / self.m
+        # one block's exponentials at a time: no (m, m/2+1) table is held
+        out = np.empty((self.m, terms * self.d))
+        for lo, hi in _product_blocks(self.m, len(self._k) * w.shape[-1]):
+            out[lo:hi] = np.real(self._phases(nodes[lo:hi]) @ w)
+        return out.reshape(self.m, terms, self.d)
 
     @staticmethod
     def _product(e, w):
-        """e @ w, in blocks of the rows (e's second-to-last axis) with
-        rows * harmonics * d at most _SMALL_PRODUCT, or three rows."""
+        """e @ w, in `_product_blocks` of the rows (e's second-to-last axis)."""
         if e.ndim > 1:
-            most = max(3, _SMALL_PRODUCT // (e.shape[-1] * w.shape[-1]))
-            if e.shape[-2] > most:
-                return np.concatenate([e[..., lo:hi, :] @ w for lo, hi
-                                       in _row_blocks(e.shape[-2], most - 1)],
-                                      axis=-2)
+            blocks = _product_blocks(e.shape[-2], e.shape[-1] * w.shape[-1])
+            if len(blocks) > 1:
+                return np.concatenate([e[..., lo:hi, :] @ w
+                                       for lo, hi in blocks], axis=-2)
         return e @ w
 
     def _value(self, e):
@@ -225,26 +243,11 @@ class LimitCycle:
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        theta, dist = self._project_rows(x[None, :] if single else x, np.inf)
+        pts = x[None, :] if single else x
+        theta, dist = _map_blocks(
+            lambda lo, hi: self._project_block(pts[lo:hi], np.inf), len(pts))
         if single:
             return float(theta[0]), float(dist[0])
-        return theta, dist
-
-    def _project_rows(self, pts, reach):
-        """project of a (K, dim) stack, refining only the rows whose nearest
-        grid node lies within `reach`; the others get theta NaN and distance
-        inf.
-
-        On a smooth cycle every interpolant point lies within about half of
-        `_longest_chord` of a grid node, so with reach = `_longest_chord` +
-        tol the rows left out could not project within tol of the cycle.
-        Refined rows get the bits `project` gives them.
-        """
-        blocks = _row_blocks(len(pts), _PROJECT_CHUNK)
-        parts = pmap(lambda b: self._project_block(pts[b[0]:b[1]], reach),
-                     blocks)
-        theta = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-        dist = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
         return theta, dist
 
     def _nearest_nodes(self, pts):
@@ -261,6 +264,11 @@ class LimitCycle:
         return nearest, d2[np.arange(len(pts)), nearest]
 
     def _project_block(self, pts, reach):
+        """project of a (K, dim) block, refining only the rows whose nearest
+        grid node lies within `reach` (theta NaN, distance inf for the rest).
+        Every interpolant point lies within about half of `_longest_chord`
+        of a node, so a row left out at reach = `_longest_chord` + tol could
+        not project within tol of the cycle."""
         nearest, d2 = self._nearest_nodes(pts)
         theta = np.full(len(pts), np.nan)
         dist = np.full(len(pts), np.inf)

@@ -4,9 +4,11 @@ Thin contract layer over scipy's eighth-order Dormand-Prince pair DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, 1993, sec. II.10).  A caller's
 tol = (rtol, atol) is the accuracy it asks for: DOP853 runs at a tenth of
 both (`_solver_tol`), and an rtol whose tenth is under scipy's floor of
-100 * eps is a ValueError, not a silent clamp.  Everything downstream goes
-through the helpers here, so method, tolerances and errors stay in one
-place.  Each entry point keeps only what its callers read:
+100 * eps is a ValueError, not a silent clamp, and a start where the field
+is not finite is an IntegrationError, not an endless step loop.
+Everything downstream goes through the helpers here, so method, tolerances
+and errors stay in one place.  Each entry point keeps only what its callers
+read:
 
 - `integrate` keeps every step (`Trajectory`);
 - `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
@@ -46,12 +48,11 @@ __all__ = [
 # (rtol, atol) used by the geometry stages; sweeps loosen this deliberately.
 DEFAULT_TOL = (1e-9, 1e-11)
 
-_METHOD = DOP853   # the one integration method
 _T_GUARD = 1e-3    # find_crossing's head start from a point on the section
 
 
 def _solver_tol(tol):
-    """The (rtol, atol) `_METHOD` runs at for a caller's tol: a tenth of each."""
+    """The (rtol, atol) `_Method` runs at for a caller's tol: a tenth of each."""
     rtol, floor = 0.1 * tol[0], 100 * np.finfo(float).eps
     if rtol < floor:
         raise ValueError(f"rtol {tol[0]:g} would run the solver at {rtol:g}, "
@@ -70,6 +71,18 @@ def _finite_span(t_span):
 
 class IntegrationError(RuntimeError):
     """Integrator failed (step underflow or solver breakdown)."""
+
+
+class _Method(DOP853):
+    """The one integration method: DOP853, refusing a start where the field
+    is not finite (scipy's first step would be NaN, and its loop endless)."""
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if not np.all(np.isfinite(self.f)):
+            raise IntegrationError(
+                "integration failed: the field is not finite at the "
+                "initial state")
 
 
 class NoCrossingError(RuntimeError):
@@ -130,7 +143,7 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
                 max_step=np.inf):
     rtol, atol = _solver_tol(tol)
     res = solve_ivp(rhs, _finite_span(t_span), np.asarray(x0, dtype=float),
-                    method=_METHOD, rtol=rtol, atol=atol, t_eval=t_eval,
+                    method=_Method, rtol=rtol, atol=atol, t_eval=t_eval,
                     events=events if events else None, max_step=max_step)
     if res.status == -1:
         raise IntegrationError(f"integration failed: {res.message}")
@@ -140,7 +153,7 @@ def _run_solver(rhs, x0, t_span, tol, t_eval=None, events=None,
 def _endpoint(rhs, x0, t_span, tol, escape=None):
     """Final state of the run `_run_solver(rhs, x0, t_span, tol)` makes.
 
-    Builds `_METHOD` with the options `solve_ivp` passes it (tolerances
+    Builds `_Method` with the options `solve_ivp` passes it (tolerances
     mapped by `_solver_tol`) and steps it to the end, so the result is
     bit-identical to `solve_ivp(...).y[:, -1]`, but no intermediate step is
     kept.  For runs without samples.
@@ -152,7 +165,7 @@ def _endpoint(rhs, x0, t_span, tol, escape=None):
     """
     rtol, atol = _solver_tol(tol)
     t0, t1 = _finite_span(t_span)
-    solver = _METHOD(rhs, t0, np.asarray(x0, dtype=float), t1,
+    solver = _Method(rhs, t0, np.asarray(x0, dtype=float), t1,
                      rtol=rtol, atol=atol, max_step=np.inf)
     g = None if escape is None else escape(solver.y)
     while solver.status == "running":

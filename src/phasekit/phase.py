@@ -8,9 +8,11 @@ nearest grid node on the cycle's per-node Taylor jets, until the state's own
 step is at most 1e-12, so a settled state projects to the same bits alone as
 in any batch.  Before the first flow only the states whose nearest node
 lies within the cycle's longest grid chord plus the settled distance are
-projected: no other state can already sit that close to the cycle.  The
-projections of a large batch run in forked worker processes
-(`LimitCycle.project`).
+projected: no other state can already sit that close to the cycle.  A
+large batch is settled in the row blocks `LimitCycle.project` uses, each
+block whole, flows and projections alike, in its own task of
+`_parallel.pmap`; a block's bits depend on that block alone, so they do not
+depend on the worker count.
 
 Isochrons are grown from the cycle as invariant curves of the backward
 time-T map: a seed off the cycle along the isochron tangent keeps its phase
@@ -37,7 +39,8 @@ import numpy as np
 from .models import TWO_PI, OscillatorModel, wrap_phase
 from ._parallel import pmap
 from .ode import IntegrationError, _as_rhs, _endpoint, flow_batch
-from .cycles import LimitCycle, PeriodicInterpolant, _jacobian_fn
+from .cycles import (LimitCycle, PeriodicInterpolant, _jacobian_fn,
+                     _map_blocks)
 
 __all__ = [
     "PhaseConvergenceError",
@@ -74,33 +77,25 @@ def _settle_budget(cycle: LimitCycle) -> int:
 def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
     """Asymptotic phase theta in [0, 2*pi) of one state or a stack of states.
 
-    x may be (dim,) or (K, dim); the stack is settled in one batched
-    integration at `_GEOM_TOL`, whole periods at a time, until each state
-    projects within `_SETTLED_DIST` = 1e-9 of the cycle.  The first pass
-    refines only the states whose nearest grid node lies within the cycle's
-    longest grid chord plus `_SETTLED_DIST`: no state farther out can
-    project that close, so the rest are flowed without a projection.  Every
-    projection starts Newton at the nearest grid node and stops each state
-    on its own step (`LimitCycle._newton`).  States inside the
-    excluded phaseless neighborhood are rejected; states that fail to
-    approach the cycle within the settle budget raise PhaseConvergenceError.
+    x may be (dim,) or (K, dim).  The stack is cut into the row blocks of
+    `LimitCycle.project`, and each block is settled whole in one task of
+    `pmap` (`_settle_block`): two or more blocks run in forked worker
+    processes.  A stacked flow shares its adaptive step across its rows, so
+    a state's bits depend on its block but not on the worker count.  States
+    inside the excluded phaseless neighborhood are rejected; states that
+    fail to approach the cycle within the settle budget raise
+    PhaseConvergenceError, counted over all blocks with the worst distance.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts = x[None, :].copy() if single else x.copy()
+    pts = x[None, :] if single else x
     model.check_basin(pts)
 
-    theta, dist = cycle._project_rows(
-        pts, cycle._longest_chord + _SETTLED_DIST)
-    done = dist < _SETTLED_DIST
     budget = _settle_budget(cycle)
-    for _ in range(budget):
-        if np.all(done):
-            break
-        active = ~done
-        pts[active] = flow_batch(model, pts[active], cycle.period, _GEOM_TOL)
-        theta[active], dist[active] = cycle.project(pts[active])
-        done = dist < _SETTLED_DIST
+    theta, dist = _map_blocks(
+        lambda lo, hi: _settle_block(model, cycle, pts[lo:hi], budget),
+        len(pts))
+    done = dist < _SETTLED_DIST
     if not np.all(done):
         worst = float(dist.max())
         raise PhaseConvergenceError(
@@ -108,6 +103,25 @@ def asymptotic_phase(model: OscillatorModel, cycle: LimitCycle, x):
             f"{budget} periods (worst residual distance {worst:.2e})"
         )
     return float(theta[0]) if single else theta
+
+
+def _settle_block(model, cycle, pts, budget):
+    """(theta, dist) of a block flowed at `_GEOM_TOL` as one stack, a period
+    at a time for at most `budget` periods, until each state projects within
+    `_SETTLED_DIST` = 1e-9 of the cycle.  The first pass refines only the
+    states that can already lie that close (`LimitCycle._project_block`)."""
+    pts = pts.copy()
+    theta, dist = cycle._project_block(
+        pts, cycle._longest_chord + _SETTLED_DIST)
+    done = dist < _SETTLED_DIST
+    for _ in range(budget):
+        if np.all(done):
+            break
+        active = ~done
+        pts[active] = flow_batch(model, pts[active], cycle.period, _GEOM_TOL)
+        theta[active], dist[active] = cycle.project(pts[active])
+        done = dist < _SETTLED_DIST
+    return theta, dist
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import multiprocessing
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -94,3 +96,18 @@ def with_decaying_axis(model, rate):
 
     return pk.make_model("custom", f=f, dim=3, jacobian=jacobian,
                          vectorized=True)
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

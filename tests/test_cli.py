@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ import phasekit
 import phasekit._parallel as parallel
 from phasekit.cli import main
 from phasekit.output import ConfigError
+
+from conftest import within
 
 TWO_PI = 2.0 * np.pi
 
@@ -286,6 +289,20 @@ def test_computation_failure_reports_exception_type(tmp_path, capsys):
     err = json.loads(out)
     assert err["error"] == "computation"
     assert err["type"] == "PhaselessStateError"
+
+
+def test_non_finite_field_at_the_start_is_a_computation_failure(tmp_path,
+                                                                capsys):
+    cfg = write_config(tmp_path, {"model": {"name": "spiral"},
+                                  "guess": [1e160, 0.0]})
+    with within(5.0), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc, out = run_cli(["find-cycle", "--config", cfg,
+                           "--out", tmp_path / "o"], capsys)
+    assert rc == 1
+    err = json.loads(out)
+    assert err["error"] == "computation"
+    assert err["type"] == "IntegrationError"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import phasekit as pk
 import phasekit._parallel as parallel
 from phasekit import UnstableCycleError, find_limit_cycle, floquet_exponent
-from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
+from phasekit.cycles import _JET_TERMS, _PROJECT_CHUNK, _row_blocks
 
 from conftest import (circ_err, scalar_only_radial, spiral_states,
                       with_decaying_axis)
@@ -403,6 +404,61 @@ def test_node_jets_reproduce_the_fourier_sums(name, params, guess):
         scale = np.abs(w).max()
         assert np.abs(g / h ** order - w).max() <= 2e-14 * scale
     np.testing.assert_array_equal(cyc._taylor(theta), got[0])
+
+
+def _node_jets_from_one_table(interp, terms):
+    """PeriodicInterpolant._node_jets as it was built before: one (m, m/2+1)
+    table of every node's exponentials, then the blocked product."""
+    k = interp._k
+    ratio = 1j * (TWO_PI / interp.m) * k[:, None] / np.arange(1, terms)
+    scale = np.cumprod(np.hstack([np.ones((len(k), 1)), ratio]), axis=1)
+    w = (scale[:, :, None] * interp._weights[:, None, :]).reshape(
+        len(k), terms * interp.d)
+    e = interp._phases(TWO_PI * np.arange(interp.m) / interp.m)
+    return np.real(interp._product(e, w)).reshape(interp.m, terms, interp.d)
+
+
+@pytest.mark.parametrize("name, params, guess", [
+    ("spiral", {}, (0.5, 0.5)),
+    ("relaxation", {"mu": 3.0}, (2.0, 0.0)),
+    ("spiral-3d", {}, (1.5, 0.1, 0.5)),
+])
+def test_node_jets_block_by_block_match_the_one_table_bitwise(
+        monkeypatch, name, params, guess):
+    # each block's exponentials are the same np.exp of the same phases as
+    # the table's rows, so the jets keep their bits; no table of more rows
+    # than one product block is built
+    if name == "spiral-3d":
+        model = with_decaying_axis(pk.make_model("spiral"), 3.0)
+    else:
+        model = pk.make_model(name, **params)
+    cyc = find_limit_cycle(model, guess)
+    interp = cyc._interp
+    np.testing.assert_array_equal(cyc._jets,
+                                  _node_jets_from_one_table(interp, _JET_TERMS))
+    rows = []
+    phases = pk.PeriodicInterpolant._phases
+    monkeypatch.setattr(pk.PeriodicInterpolant, "_phases",
+                        lambda self, theta:
+                            rows.append(len(theta)) or phases(self, theta))
+    np.testing.assert_array_equal(interp._node_jets(_JET_TERMS), cyc._jets)
+    assert sum(rows) == cyc.grid_size and max(rows) <= 5
+
+
+def test_building_a_cycle_holds_no_table_of_every_node():
+    # the (M, M/2+1) complex table of the node exponentials alone is
+    # 0.53 MB at M = 256; building the cycle's jets now peaks below it
+    model = pk.make_model("spiral")
+    cyc = find_limit_cycle(model, (0.5, 0.5))
+    table = cyc.grid_size * (cyc.grid_size // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        pk.LimitCycle(period=cyc.period, grid=cyc.grid, points=cyc.points,
+                      anchor=cyc.anchor, floquet=cyc.floquet)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table
 
 
 @pytest.mark.parametrize("name, params, guess", [

@@ -1,8 +1,6 @@
 import math
-import signal
 import tracemalloc
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,10 +10,10 @@ from scipy.integrate import solve_ivp
 import phasekit as pk
 from phasekit import IntegrationError, NoCrossingError, Section
 from phasekit.cycles import _jacobian_fn
-from phasekit.ode import (_METHOD, _endpoint, _run_solver, _solver_tol,
+from phasekit.ode import (_Method, _endpoint, _run_solver, _solver_tol,
                           flow_batch)
 
-from conftest import circ_err, spiral_states, with_decaying_axis
+from conftest import circ_err, spiral_states, with_decaying_axis, within
 
 
 def radial_radius(r0, t):
@@ -102,7 +100,7 @@ def solve_ivp_endpoint(rhs, x0, t_span, tol):
     """The endpoint as read off a full `solve_ivp` run (the reference), with
     the method and tolerance map `ode` defines."""
     rtol, atol = _solver_tol(tol)
-    res = solve_ivp(rhs, t_span, x0, method=_METHOD, rtol=rtol, atol=atol)
+    res = solve_ivp(rhs, t_span, x0, method=_Method, rtol=rtol, atol=atol)
     assert res.status == 0
     return res.y[:, -1]
 
@@ -390,21 +388,6 @@ def test_direction_filtering():
     assert abs(t_up - 3 * math.pi / 2) < 1e-6
 
 
-@contextmanager
-def within(seconds):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 NON_FINITE_SPANS = {
     "flow-nan": lambda m: pk.flow(m, [1.0, 0.0], math.nan),
     "integrate-inf": lambda m: pk.integrate(m, [1.0, 0.0], (0.0, math.inf)),
@@ -420,6 +403,27 @@ NON_FINITE_SPANS = {
 def test_non_finite_time_span_fails_fast(run):
     with within(1.0), pytest.raises(ValueError, match="must be finite"):
         run(pk.make_model("spiral"))
+
+
+NON_FINITE_STARTS = {
+    "flow": lambda m, cyc: pk.flow(m, [1e160, 0.0], 1.0),
+    "flow_batch": lambda m, cyc: flow_batch(m, [[1.0, 0.0], [1e160, 0.0]],
+                                            1.0),
+    "integrate": lambda m, cyc: pk.integrate(m, [1e160, 0.0], (0.0, 1.0)),
+    "asymptotic_phase": lambda m, cyc: pk.asymptotic_phase(m, cyc,
+                                                           [1e200, 0.0]),
+}
+
+
+@pytest.mark.parametrize("run", NON_FINITE_STARTS.values(),
+                         ids=NON_FINITE_STARTS.keys())
+def test_non_finite_field_at_the_start_fails_fast(spiral_cycle, run):
+    # u . u overflows, so the spiral's field at the start is not finite:
+    # scipy's first step would be NaN and its step loop would never end
+    with within(5.0), warnings.catch_warnings(), \
+            pytest.raises(IntegrationError, match="not finite"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run(*spiral_cycle)
 
 
 @pytest.mark.parametrize("t_eval, message", [

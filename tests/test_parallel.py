@@ -18,7 +18,7 @@ from phasekit import (NetworkSpec, PhaseConvergenceError, ShootingError,
                       asymptotic_phase, compare_full_vs_reduced, make_model,
                       sl_prescribed_pair)
 from phasekit._parallel import pmap
-from phasekit.cycles import _PROJECT_CHUNK
+from phasekit.cycles import _PROJECT_CHUNK, _row_blocks
 
 from conftest import spiral_states
 from phasekit.cli import main
@@ -415,3 +415,33 @@ def test_asymptotic_phase_does_not_depend_on_the_worker_count(monkeypatch,
         force_workers(monkeypatch, workers)
         phases.append(asymptotic_phase(model, cyc, pts))
     np.testing.assert_array_equal(phases[0], phases[1])
+
+
+def test_asymptotic_phase_settles_each_block_alone(monkeypatch, executors,
+                                                   spiral_cycle):
+    # one pool per call of two or more blocks, one task per block; each
+    # block's phases are those of that block alone, at any worker count
+    model, cyc = spiral_cycle
+    pts = spiral_states(2 * _PROJECT_CHUNK + 3, seed=5)
+    phases = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        phases.append(asymptotic_phase(model, cyc, pts))
+    np.testing.assert_array_equal(phases[0], phases[1])
+    assert executors == [2]
+    force_workers(monkeypatch, 1)
+    for lo, hi in _row_blocks(len(pts), _PROJECT_CHUNK):
+        np.testing.assert_array_equal(
+            phases[0][lo:hi], asymptotic_phase(model, cyc, pts[lo:hi]))
+
+
+@pytest.mark.parametrize("states", [
+    spiral_states(_PROJECT_CHUNK + 1), spiral_states(1)[0],
+    np.empty((0, 2))], ids=["one-block", "single-state", "empty"])
+def test_asymptotic_phase_of_one_block_never_creates_an_executor(
+        monkeypatch, executors, spiral_cycle, states):
+    force_workers(monkeypatch, 2)
+    model, cyc = spiral_cycle
+    theta = asymptotic_phase(model, cyc, states)
+    assert np.shape(theta) == states.shape[:-1]
+    assert executors == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import time
 import warnings
@@ -334,42 +335,128 @@ def test_settle_reach_changes_no_phase(monkeypatch, spiral_cycle, name,
                 in _row_blocks(len(x), _PROJECT_CHUNK)] == [1, 1]
     monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
     got = pk.asymptotic_phase(model, cyc, x)
-    rows = LimitCycle._project_rows
-    monkeypatch.setattr(LimitCycle, "_project_rows",
-                        lambda self, pts, reach: rows(self, pts, np.inf))
+    reaches = []
+    block = LimitCycle._project_block
+
+    def project_every_row(self, pts, reach):
+        reaches.append(reach)
+        return block(self, pts, np.inf)
+
+    monkeypatch.setattr(LimitCycle, "_project_block", project_every_row)
     np.testing.assert_array_equal(got, pk.asymptotic_phase(model, cyc, x))
+    if workers == 1:
+        # the patch replaced a finite reach in each block's first pass
+        blocks = _row_blocks(len(np.atleast_2d(x)), _PROJECT_CHUNK)
+        assert reaches.count(cyc._longest_chord + _SETTLED_DIST) == \
+            len(blocks)
 
 
 def test_first_pass_evaluates_jets_only_for_states_in_reach(
         monkeypatch, spiral_cycle):
-    # rows handed to Newton and to the jet evaluations under it: in the
-    # first pass only the states in reach, block by block
+    # each block's settle first hands Newton exactly the block's states in
+    # reach, and no jet evaluation before its first flow covers more rows
     model, cyc = spiral_cycle
     monkeypatch.setattr(parallel, "_cpu_count", lambda: 1)
     log = []
+    settle = phase._settle_block
     newton, taylor = LimitCycle._newton, LimitCycle._taylor
     monkeypatch.setattr(
+        phase, "_settle_block",
+        lambda model, cycle, pts, budget:
+            log.append(("block", pts)) or settle(model, cycle, pts, budget))
+    monkeypatch.setattr(
         LimitCycle, "_newton",
-        lambda self, pts, nodes: log.append(pts) or newton(self, pts, nodes))
+        lambda self, pts, nodes:
+            log.append(("newton", pts)) or newton(self, pts, nodes))
     monkeypatch.setattr(
         LimitCycle, "_taylor",
         lambda self, theta, second=False:
-            log.append(len(theta)) or taylor(self, theta, second))
+            log.append(("jet", len(theta))) or taylor(self, theta, second))
     flow = phase.flow_batch
     monkeypatch.setattr(phase, "flow_batch",
-                        lambda *args: log.append(None) or flow(*args))
+                        lambda *args: log.append(("flow", None)) or flow(*args))
     pts = spiral_states(4099)
     pk.asymptotic_phase(model, cyc, pts)
 
     reach = cyc._longest_chord + _SETTLED_DIST
-    first_pass = log[:[x is None for x in log].index(True)]
-    for lo, hi in _row_blocks(len(pts), _PROJECT_CHUNK):
+    starts = [i for i, (kind, _) in enumerate(log) if kind == "block"]
+    blocks = _row_blocks(len(pts), _PROJECT_CHUNK)
+    assert len(starts) == len(blocks) == 3
+    in_reach = []
+    for (lo, hi), start, end in zip(blocks, starts, starts[1:] + [len(log)]):
+        np.testing.assert_array_equal(log[start][1], pts[lo:hi])
         d2 = ((pts[lo:hi, None, :] - cyc.points[None, :, :]) ** 2).sum(axis=2)
         near = pts[lo:hi][d2.min(axis=1) <= reach * reach]
-        np.testing.assert_array_equal(first_pass.pop(0), near)
-        while first_pass and not isinstance(first_pass[0], np.ndarray):
-            assert first_pass.pop(0) <= len(near)
-    assert first_pass == []
+        in_reach.append(len(near))
+        kinds = [kind for kind, _ in log[start:end]]
+        first_flow = kinds.index("flow")
+        assert kinds[1] == "newton"
+        np.testing.assert_array_equal(log[start + 1][1], near)
+        for kind, rows in log[start + 2:start + first_flow]:
+            assert kind == "jet" and rows <= len(near)
+    # the two full blocks each hold some states in reach and many out of it
+    assert all(0 < k < _PROJECT_CHUNK // 10 for k in in_reach[:2])
+
+
+def _whole_stack_settle(model, cyc, x):
+    """asymptotic_phase as one settle loop over the whole stack, as it ran
+    before the stack was settled block by block: a first pass that refines
+    only the states in reach, then rounds of one period's flow of the
+    states still active and their projection."""
+    pts = x.copy()
+    theta, dist = cyc._project_block(pts, cyc._longest_chord + _SETTLED_DIST)
+    done = dist < _SETTLED_DIST
+    for _ in range(phase._settle_budget(cyc)):
+        if np.all(done):
+            break
+        active = ~done
+        pts[active] = flow_batch(model, pts[active], cyc.period,
+                                 phase._GEOM_TOL)
+        theta[active], dist[active] = cyc.project(pts[active])
+        done = dist < _SETTLED_DIST
+    assert np.all(done)
+    return theta
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [228, _PROJECT_CHUNK + 1])
+@pytest.mark.parametrize("cycle", ["spiral_cycle", "relaxation_cycle"])
+def test_one_block_settles_as_the_whole_stack_loop(monkeypatch, request,
+                                                   cycle, rows, workers):
+    # a stack of one block (at most _PROJECT_CHUNK + 1 rows) is settled in
+    # one loop in the parent, with the bits of the whole-stack loop
+    model, cyc = request.getfixturevalue(cycle)[:2]
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+    x = spiral_states(rows, seed=7)
+    assert len(_row_blocks(rows, _PROJECT_CHUNK)) == 1
+    np.testing.assert_array_equal(pk.asymptotic_phase(model, cyc, x),
+                                  _whole_stack_settle(model, cyc, x))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unsettled_states_in_two_blocks_raise_one_error(monkeypatch,
+                                                        spiral_cycle, workers):
+    # each block settles on its own; the one error counts the unsettled
+    # states of every block and names the worst distance over all of them
+    m, cyc = spiral_cycle
+    monkeypatch.setattr(phase, "_settle_budget", lambda cycle: 1)
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+    states = np.resize(cyc.points, (2 * _PROJECT_CHUNK + 3, 2))
+    far = {5: [2.0, 0.0], _PROJECT_CHUNK + 7: [0.0, 0.5]}
+    dists = []
+    for row, x in far.items():
+        states[row] = x
+        end = flow_batch(m, np.array([x]), cyc.period, phase._GEOM_TOL)
+        dists.append(cyc.project(end)[1][0])
+    assert [lo <= row < hi for row in far
+            for lo, hi in _row_blocks(len(states), _PROJECT_CHUNK)] == \
+        [True, False, False, False, True, False]
+    assert _SETTLED_DIST < min(dists) and dists[0] != dists[1]
+    message = (f"2 state(s) did not settle to the cycle within 1 periods "
+               f"(worst residual distance {max(dists):.2e})")
+    with pytest.raises(pk.PhaseConvergenceError,
+                       match=f"^{re.escape(message)}$"):
+        pk.asymptotic_phase(m, cyc, states)
 
 
 @pytest.fixture(scope="module")
