@@ -292,13 +292,20 @@ class ScalingFit:
 
 
 def scaling_fit(x, y) -> ScalingFit:
-    """Least-squares power-law fit y = prefactor * x**exponent (log-log)."""
+    """Least-squares power-law fit y = prefactor * x**exponent (log-log).
+
+    Data that are not finite, not positive, or whose x values are all equal
+    are a ValueError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("need matching 1-d arrays with at least two points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("power-law fit needs finite data")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("power-law fit needs strictly positive data")
+    if np.all(x == x[0]):
+        raise ValueError("power-law fit needs at least two distinct x values")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

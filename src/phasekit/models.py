@@ -337,7 +337,15 @@ class Perturbation:
 
 def sinusoidal_forcing(omega: float = 1.0, amplitude: float = 0.0,
                        component: int = 0, dim: int = 2) -> Perturbation:
-    """p(x, t) = sin(omega*t) * e_component, the standard test forcing."""
+    """p(x, t) = sin(omega*t) * e_component, the standard test forcing.
+
+    An omega that is not finite and positive, or a component that is not
+    an integer in [0, dim), is a ValueError."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not (isinstance(component, (int, np.integer)) and 0 <= component < dim):
+        raise ValueError(f"component must be an integer in [0, {dim}), got "
+                         f"{component!r}")
 
     def p(x, t):
         out = np.zeros(dim)

@@ -10,9 +10,10 @@ Everything downstream goes through the helpers here, so method, tolerances
 and errors stay in one place.  Each entry point keeps only what its callers
 read:
 
-- `integrate` keeps every step (`Trajectory`);
-- `flow` and `find_crossing` keep the steps `solve_ivp` records, with events
-  (the basin guard, the section) located on the step's interpolant;
+- `integrate` keeps every step (`Trajectory`), and `flow` is its last
+  state;
+- `integrate` and `find_crossing` locate their events (the basin guard, the
+  section) on the step's interpolant;
 - `flow_batch` (and the Floquet stage's whole-period run above two
   dimensions) keeps only the final state:
   `_endpoint` steps the same solver that `solve_ivp` builds, so the
@@ -204,20 +205,9 @@ def integrate(system, x0, t_span, tol=DEFAULT_TOL,
 
 
 def flow(system, x0, t, tol=DEFAULT_TOL):
-    """Endpoint of the flow map: phi_t(x0)."""
-    rhs, model = _as_rhs(system)
-    x0 = np.asarray(x0, dtype=float)
-    if model is not None:
-        model.check_basin(x0)
-    if t == 0.0:
-        return x0.copy()
-    res = _run_solver(rhs, x0, (0.0, float(t)), tol,
-                      events=_basin_events(model))
-    if res.status == 1:
-        raise PhaselessStateError(
-            f"trajectory entered the phaseless neighborhood at t = {res.t[-1]:.6g}"
-        )
-    return res.y[:, -1].copy()
+    """Endpoint of the flow map: phi_t(x0), the last state of
+    `integrate(system, x0, (0, t), tol)`."""
+    return integrate(system, x0, (0.0, t), tol).states[-1].copy()
 
 
 def flow_batch(model: OscillatorModel, X0, t, tol=DEFAULT_TOL):

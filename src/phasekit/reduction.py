@@ -13,6 +13,11 @@ phase psi = theta - Omega * t obeys, after averaging,
 Gamma_bar at psi slows the slow phase down.  `lock_analysis` is a plain
 root-finder on Delta + eps * q(psi) and makes no assumption about where q came
 from; when analyzing the forced equation above, pass q = -Gamma_bar.
+
+Averaging.  Commensurate forcing is averaged by one trapezoid sum over the
+cycle's grid nodes (`average_periodic`), which is exponentially accurate for
+smooth periodic integrands, so an average that vanishes identically comes out
+zero to rounding; other forcing falls back to the windowed `mean_value`.
 """
 
 from __future__ import annotations
@@ -157,9 +162,6 @@ def simulate_averaged(coupling: CouplingFunction, delta: float, eps: float,
 
 # --- averaging --------------------------------------------------------------
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
 def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
                      pert: Perturbation, omega_force: float) -> CouplingFunction:
     """Average the instantaneous forcing over time in the frame rotating at
@@ -167,14 +169,25 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
 
     Gamma_bar(psi) = -(1/T) integral of Z(psi + Omega t) . p(gamma(psi +
     Omega t), t) dt, the drag form of the averaged slow-phase equation (see
-    module docstring).  When the forcing period is commensurate with the
-    rotating frame the average runs over the common period with 64-point
-    Gauss-Legendre panels per forcing period; otherwise the quasi-periodic
-    mean is taken with `mean_value`.
+    module docstring).  When T_p / t_f = p/q with q < 100, t_f = 2 pi / Omega
+    the frame period, the average runs over the common period p * t_f as the
+    trapezoid sum over the N = M * p times t_k = k * t_f / M, M the cycle's
+    grid size.  At t_k every frame phase psi_j + Omega t_k is grid node
+    (j + k) mod M, so Z (`sens` at the nodes) and gamma (`cycle.points`)
+    are read only at nodes:
+
+        Gamma_bar_j = -(1/N) sum_k Z_{(j+k) mod M} . p(gamma_{(j+k) mod M}, t_k).
+
+    The sum is exact for every harmonic of the common period below N, hence
+    exponentially accurate for smooth periodic integrands (Trefethen &
+    Weideman, SIAM Review 56, 2014).  Other forcing is averaged with
+    `mean_value`.  An omega_force that is not finite and positive is a
+    ValueError.
     """
     omega = float(omega_force)
-    if omega <= 0.0:
-        raise ValueError("omega_force must be positive")
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega_force must be finite and positive, got "
+                         f"{omega_force!r}")
     m = cycle.grid_size
     psi = TWO_PI * np.arange(m) / m
     t_frame = TWO_PI / omega
@@ -190,17 +203,14 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
         ratio = pert.period / t_frame
         frac = Fraction(ratio).limit_denominator(99)
         if frac.numerator > 0 and abs(ratio - float(frac)) <= 1e-9 * max(1.0, ratio):
-            n_periods = frac.denominator
-            t_total = n_periods * pert.period
-            nodes, weights = _GL64
+            z = sens(psi)
+            n = m * frac.numerator
             acc = np.zeros(m)
-            for j in range(n_periods):
-                t0 = j * pert.period
-                for xi, wgt in zip(nodes, weights):
-                    t = t0 + 0.5 * pert.period * (xi + 1.0)
-                    acc += wgt * integrand_at(t)
-            acc *= 0.5 * pert.period / t_total
-            return CouplingFunction(grid=psi, values=-acc,
+            for k in range(n):
+                v = np.sum(z * _eval_forcing(pert, cycle.points, k * t_frame / m),
+                           axis=1)
+                acc += np.roll(v, -k)
+            return CouplingFunction(grid=psi, values=-acc / n,
                                     provenance="periodic_average")
 
     # Incommensurate (or undeclared) forcing: quasi-periodic mean per node.

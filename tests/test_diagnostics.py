@@ -265,6 +265,24 @@ def test_power_law_fit_rejects_bad_data():
         scaling_fit([0.1, -0.2], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0], [1.0, math.inf]),
+    ([1.0, math.inf], [1.0, 2.0]),
+    ([1.0, math.nan], [1.0, 2.0]),
+    ([1.0, 2.0], [math.nan, 2.0]),
+])
+def test_power_law_fit_rejects_non_finite_data(x, y):
+    # y = inf would fit exponent NaN with r_squared 1.0; a NaN x would fail
+    # inside LAPACK
+    with pytest.raises(ValueError, match="finite"):
+        scaling_fit(x, y)
+
+
+def test_power_law_fit_needs_two_distinct_x_values():
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_fit([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # order_ratio
 # ---------------------------------------------------------------------------

@@ -120,6 +120,23 @@ def test_sinusoidal_forcing_periodicity():
     assert pert.amplitude == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"omega": 0.0}, "omega"),
+    ({"omega": -1.0}, "omega"),
+    ({"omega": math.inf}, "omega"),
+    ({"omega": math.nan}, "omega"),
+    ({"component": 5}, "component"),
+    ({"component": -1}, "component"),
+    ({"component": 1.5}, "component"),
+    ({"component": 0, "dim": 0}, "component"),
+])
+def test_sinusoidal_forcing_rejects_bad_arguments(kwargs, name):
+    # unchecked, omega = 0 divides by zero, component 5 or dim 0 indexes past
+    # the output, and component -1 forces the last coordinate
+    with pytest.raises(ValueError, match=name):
+        pk.sinusoidal_forcing(**kwargs)
+
+
 def test_periodicity_probe_uses_the_forcing_dimension():
     # the forcing reads x[2]; probing with planar states would index past it
     def p(x, t):

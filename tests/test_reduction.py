@@ -79,7 +79,9 @@ def test_average_periodic_half_cosine(radial_cycle, radial_sens):
     pert = pk.sinusoidal_forcing(omega=1.0, amplitude=1.0)
     q = average_periodic(radial_sens, cyc, pert, 1.0)
     want = 0.5 * np.cos(q.grid)
-    assert np.max(np.abs(q.values - want)) < 1e-6
+    # bound: what 64-point Gauss-Legendre panels on the interpolants reached
+    # here; the node sum must be no less accurate
+    assert np.max(np.abs(q.values - want)) <= 3.91e-12
     assert q.provenance == "periodic_average"
 
 
@@ -97,6 +99,95 @@ def test_average_periodic_nonresonant(radial_cycle, radial_sens):
     pert = pk.sinusoidal_forcing(omega=2.0, amplitude=1.0)
     q = average_periodic(radial_sens, cyc, pert, 1.0)
     assert np.max(np.abs(q.values)) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def relaxation_pairs():
+    """(cycle, sensitivity) of the relaxation oscillator at mu = 1 and 3."""
+    out = {}
+    for mu in (1.0, 3.0):
+        model = pk.make_model("relaxation", mu=mu)
+        cycle = pk.find_limit_cycle(model, (2.0, 0.0))
+        out[mu] = cycle, pk.phase_sensitivity(model, cycle)
+    return out
+
+
+def test_average_periodic_subharmonic_forcing_averages_to_zero(
+        relaxation_pairs):
+    # every harmonic of Z . p sits at n * w0 +- w0/8 (or w0/3): none is zero
+    cycle, sens = relaxation_pairs[3.0]
+    w0 = cycle.omega0
+    pert = pk.sinusoidal_forcing(omega=w0 / 8.0, amplitude=1.0)
+    q = average_periodic(sens, cycle, pert, w0)
+    assert np.max(np.abs(q.values)) <= 1e-12
+
+    cycle, sens = relaxation_pairs[1.0]
+    w0 = cycle.omega0
+
+    def p(x, t):
+        return np.stack([x[..., 0] ** 2 * np.sin(w0 * t / 3.0),
+                         x[..., 1] * np.cos(w0 * t / 3.0)], axis=-1)
+
+    pert = Perturbation(p=p, period=3.0 * TWO_PI / w0, amplitude=1.0)
+    q = average_periodic(sens, cycle, pert, w0)
+    assert np.max(np.abs(q.values)) <= 1e-12
+    assert q.provenance == "periodic_average"
+
+
+def test_average_periodic_over_two_frame_periods(relaxation_pairs):
+    # p = (0, (x0 + x0^2) sin^2(1.5 w0 t)) declared with period
+    # 4 pi / (3 w0): two frame periods per three forcing periods.  With
+    # s = psi + w0 t, sin^2(1.5 w0 t) = (1 - cos 3(s - psi)) / 2, so for
+    # g = Z_1 (gamma_0 + gamma_0^2), Gamma_bar(psi) = -<g>/2 +
+    # Re(G_3 e^{3 i psi}) / 2 with G_3 = <g e^{-3is}>, both means taken on
+    # 4096 interpolant samples off the grid nodes
+    cycle, sens = relaxation_pairs[1.0]
+    w0 = cycle.omega0
+
+    def p(x, t):
+        return np.stack([np.zeros_like(x[..., 0]),
+                         (x[..., 0] + x[..., 0] ** 2)
+                         * np.sin(1.5 * w0 * t) ** 2], axis=-1)
+
+    pert = Perturbation(p=p, period=2.0 * TWO_PI / (1.5 * w0), amplitude=1.0)
+    q = average_periodic(sens, cycle, pert, w0)
+    s = TWO_PI * (np.arange(4096) + 0.37) / 4096
+    x0 = cycle.gamma_at(s)[:, 0]
+    g = sens(s)[:, 1] * (x0 + x0 ** 2)
+    g3 = np.mean(g * np.exp(-3j * s))
+    want = -0.5 * np.mean(g) + 0.5 * np.real(g3 * np.exp(3j * q.grid))
+    assert np.ptp(q.values) > 0.1 and np.max(np.abs(q.values)) > 0.2
+    assert np.max(np.abs(q.values - want)) <= 1e-12
+
+
+def test_average_periodic_spiral_closed_form(spiral_cycle, spiral_sens):
+    # bound: see test_average_periodic_half_cosine
+    _, cycle = spiral_cycle
+    pert = pk.sinusoidal_forcing(omega=1.0, amplitude=1.0)
+    q = average_periodic(spiral_sens, cycle, pert, 1.0)
+    want = 0.5 * (np.cos(q.grid) + np.sin(q.grid))
+    assert np.max(np.abs(q.values - want)) <= 6.53e-12
+
+
+def test_average_periodic_reads_a_sensitivity_on_another_grid(radial_cycle,
+                                                              radial_sens):
+    _, cycle = radial_cycle
+    coarse = pk.PhaseSensitivity(grid=radial_sens.grid[::2].copy(),
+                                 values=radial_sens.values[::2].copy(),
+                                 omega0=radial_sens.omega0)
+    pert = pk.sinusoidal_forcing(omega=1.0, amplitude=1.0)
+    q = average_periodic(coarse, cycle, pert, 1.0)
+    assert len(q.grid) == 256
+    assert np.max(np.abs(q.values - 0.5 * np.cos(q.grid))) <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0])
+def test_average_periodic_rejects_a_bad_frame_frequency(radial_cycle,
+                                                        radial_sens, omega):
+    _, cycle = radial_cycle
+    pert = pk.sinusoidal_forcing(omega=1.0, amplitude=1.0)
+    with pytest.raises(ValueError, match="omega_force"):
+        average_periodic(radial_sens, cycle, pert, omega)
 
 
 def test_mean_value_quasiperiodic():
