@@ -28,7 +28,8 @@ import numpy as np
 
 from ._parallel import pmap
 from .models import TWO_PI, OscillatorModel, wrap_phase
-from .ode import DEFAULT_TOL, Section, find_crossing, _endpoint, _run_solver
+from . import ode
+from .ode import DEFAULT_TOL, Section, find_crossing
 
 __all__ = [
     "PeriodicInterpolant",
@@ -364,8 +365,9 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     The section is `_SECTION`, x[1] = 0 crossed upward; each crossing is
     searched for up to `_CROSSING_T_MAX` = 200 time units, and Newton gets
     `_MAX_NEWTON` = 50 iterations.  Returns the cycle sampled at grid_size
-    phases, anchored so that phase zero is the section crossing with the
-    largest first coordinate (ties broken by the second coordinate).  Raises
+    phases, anchored so that phase zero is the orbit's one upward crossing
+    of the section: Newton converges on a fixed point of the first-return
+    map, so the orbit meets the section upward nowhere else.  Raises
     ShootingError when Newton stalls or the return map has a unit
     multiplier, UnstableCycleError when the orbit's nontrivial Floquet
     exponent is nonnegative, FloatingPointError when that exponent cannot be
@@ -428,27 +430,15 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     if not converged:
         raise ShootingError(f"shooting did not converge in {_MAX_NEWTON} iterations")
 
-    # Anchor: among this orbit's section crossings, take max first coordinate.
-    anchor = x_base
-    crossings = _collect_crossings(model, x_base, period, ivp_tol)
-    if crossings:
-        key = max(range(len(crossings)),
-                  key=lambda i: (crossings[i][0], crossings[i][1]))
-        t_anchor = crossings[key][-1]
-        if t_anchor > 0.0:
-            anchor = _endpoint(lambda t, x: model.f(x), x_base,
-                               (0.0, t_anchor), ivp_tol)
-            anchor = _onto_section(anchor)
-
-    # Sample one period from the anchor, uniformly in time.
+    # Sample one period from the anchor x_base, uniformly in time.
     t_nodes = period * np.arange(grid_size) / grid_size
     tight = (min(ivp_tol[0], 1e-10), min(ivp_tol[1], 1e-12))
-    points = _run_solver(lambda t, x: model.f(x), anchor, (0.0, period), tight,
-                         t_eval=t_nodes).y.T.copy()
+    points = ode.solve_ivp(lambda t, x: model.f(x), (0.0, period), x_base,
+                           tight, t_eval=t_nodes).y.T.copy()
     grid = TWO_PI * np.arange(grid_size) / grid_size
 
     cycle = LimitCycle(period=float(period), grid=grid, points=points,
-                       anchor=anchor.copy(), floquet=0.0)
+                       anchor=x_base.copy(), floquet=0.0)
     lam = floquet_exponent(model, cycle)
     if lam >= 0.0:
         raise UnstableCycleError(
@@ -457,23 +447,6 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
         )
     cycle.floquet = float(lam)
     return cycle
-
-
-def _collect_crossings(model, x_start, period, ivp_tol):
-    """(x1, x2, t) for every section crossing in (0, period]."""
-
-    def ev(t, x):
-        return float(_SECTION.s(x))
-
-    ev.terminal = False
-    ev.direction = _SECTION.direction
-    res = _run_solver(lambda t, x: model.f(x), x_start,
-                      (0.0, period), ivp_tol, events=[ev])
-    out = [(float(x[0]), float(x[1]), float(t))
-           for t, x in zip(res.t_events[0], res.y_events[0])
-           if 1e-9 < t < period - 1e-9]
-    out.append((float(x_start[0]), float(x_start[1]), 0.0))
-    return out
 
 
 def _jacobian_fn(model: OscillatorModel):
@@ -525,7 +498,8 @@ def floquet_exponent(model: OscillatorModel, cycle: LimitCycle) -> float:
         return np.concatenate([dx, dphi.reshape(-1)])
 
     y0 = np.concatenate([cycle.anchor, np.eye(n).reshape(-1)])
-    y1 = _endpoint(rhs, y0, (0.0, cycle.period), (1e-10, 1e-13))
+    y1 = ode.solve_ivp(rhs, (0.0, cycle.period), y0, (1e-10, 1e-13),
+                       endpoint=True).y[:, -1]
     mu = np.linalg.eigvals(y1[n:].reshape(n, n))
     rest = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
     mu_dom = abs(rest[np.argmax(np.abs(rest))])

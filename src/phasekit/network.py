@@ -50,7 +50,8 @@ import numpy as np
 from .models import (TWO_PI, OscillatorModel, _is_builtin, make_model,
                      wrap_phase)
 from ._parallel import pmap
-from .ode import DEFAULT_TOL, _run_solver
+from . import ode
+from .ode import DEFAULT_TOL
 from .cycles import LimitCycle, _default_guess, find_limit_cycle
 from .phase import asymptotic_phase, phase_sensitivity
 from .reduction import CouplingFunction, mean_value
@@ -429,9 +430,10 @@ def simulate_ensemble(spec: NetworkSpec, epsilons, t_span, theta0=None,
     cycles = spec.cycles()
     x0 = np.stack([cycles[i].gamma_at(float(theta0[i])) for i in range(n)])
     shrink = np.sqrt(k)
-    res = _run_solver(_network_rhs(spec, eps), np.tile(x0.reshape(-1), k),
-                      (float(t_span[0]), float(t_span[1])),
-                      (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval)
+    res = ode.solve_ivp(_network_rhs(spec, eps),
+                        (float(t_span[0]), float(t_span[1])),
+                        np.tile(x0.reshape(-1), k),
+                        (tol[0] / shrink, tol[1] / shrink), t_eval=t_eval)
     states = res.y.T.reshape(-1, k, n, dim)
     return [NetworkTrajectory(times=res.t.copy(), states=states[:, j].copy())
             for j in range(k)]
@@ -504,9 +506,8 @@ def simulate_phase_model(pm: PhaseModel, theta0, t_span,
     """Integrate the reduced phase equations at `DEFAULT_TOL`; phases
     returned unwrapped."""
     theta0 = np.asarray(theta0, dtype=float)
-    res = _run_solver(_phase_rhs(pm), theta0,
-                      (float(t_span[0]), float(t_span[1])), DEFAULT_TOL,
-                      t_eval=t_eval)
+    res = ode.solve_ivp(_phase_rhs(pm), (float(t_span[0]), float(t_span[1])),
+                        theta0, DEFAULT_TOL, t_eval=t_eval)
     return NetworkTrajectory(times=res.t.copy(), states=res.y.T[:, :, None],
                              phases=res.y.T.copy())
 

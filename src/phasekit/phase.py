@@ -38,7 +38,8 @@ import numpy as np
 
 from .models import TWO_PI, OscillatorModel, wrap_phase
 from ._parallel import pmap
-from .ode import IntegrationError, _as_rhs, _endpoint, flow_batch
+from . import ode
+from .ode import IntegrationError, _as_rhs, flow_batch
 from .cycles import (LimitCycle, PeriodicInterpolant, _jacobian_fn,
                      _map_blocks)
 
@@ -262,12 +263,13 @@ def _probe_backward(model, cycle, x0, n_periods, r_cap):
     if the trajectory escapes past r_cap, overflows or breaks the solver."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            end = _endpoint(_as_rhs(model)[0], x0,
-                            (0.0, -n_periods * cycle.period), _GEOM_TOL,
-                            escape=lambda y: np.linalg.norm(y) - r_cap)
+            end = ode.solve_ivp(_as_rhs(model)[0],
+                                (0.0, -n_periods * cycle.period), x0,
+                                _GEOM_TOL, endpoint=True,
+                                escape=lambda y: np.linalg.norm(y) - r_cap)
     except (IntegrationError, FloatingPointError):
         return np.inf
-    return np.inf if end is None else float(np.linalg.norm(end))
+    return np.inf if end.status == 1 else float(np.linalg.norm(end.y[:, -1]))
 
 
 def _map_isochron_side(model, cycle, g0, w, targets, sgn, s_lin, r_cap):

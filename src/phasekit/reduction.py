@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .models import TWO_PI, OscillatorModel, Perturbation, wrap_phase
-from .ode import _run_solver
+from . import ode
 from .cycles import LimitCycle, PeriodicInterpolant
 from .phase import PhaseSensitivity
 
@@ -139,9 +138,9 @@ def simulate_reduced(sens: PhaseSensitivity, cycle: LimitCycle,
         return np.array([omega0 + eps * gamma_instantaneous(sens, cycle, pert,
                                                              y[0], t)])
 
-    res = _run_solver(rhs, np.array([float(theta0)]),
-                      (float(t_span[0]), float(t_span[1])), _PHASE_SIM_TOL,
-                      t_eval=t_eval)
+    res = ode.solve_ivp(rhs, (float(t_span[0]), float(t_span[1])),
+                        np.array([float(theta0)]), _PHASE_SIM_TOL,
+                        t_eval=t_eval)
     return ReducedTrajectory(times=res.t.copy(), theta=res.y[0].copy())
 
 
@@ -154,9 +153,9 @@ def simulate_averaged(coupling: CouplingFunction, delta: float, eps: float,
     def rhs(t, y):
         return np.array([delta - eps * float(coupling(y[0]))])
 
-    res = _run_solver(rhs, np.array([float(psi0)]),
-                      (float(t_span[0]), float(t_span[1])), _PHASE_SIM_TOL,
-                      t_eval=t_eval)
+    res = ode.solve_ivp(rhs, (float(t_span[0]), float(t_span[1])),
+                        np.array([float(psi0)]), _PHASE_SIM_TOL,
+                        t_eval=t_eval)
     return ReducedTrajectory(times=res.t.copy(), theta=res.y[0].copy())
 
 
@@ -306,8 +305,8 @@ def lock_analysis(delta: float, eps: float,
     """Fixed points of d psi / dt = delta + eps * q(psi) on [0, 2*pi).
 
     Roots are located by a sign scan over `_N_SCAN` = 4096 points, each
-    bracketed sign change refined with Brent's method (`brentq`); a root is
-    stable when the right-hand side has negative slope there.  Stable and
+    bracketed sign change refined with Brent's method (`ode._brentq`); a root
+    is stable when the right-hand side has negative slope there.  Stable and
     unstable points alternate around the circle whenever the locking
     inequality is strict.  A non-finite delta or eps raises ValueError.
     """
@@ -340,8 +339,8 @@ def lock_analysis(delta: float, eps: float,
         if abs(fa) <= f_floor:
             roots.append(float(a))
         elif fa * fb < 0.0 and abs(fb) > f_floor:
-            roots.append(float(brentq(lambda p: float(rhs(p)), a, b,
-                                      xtol=1e-14, rtol=8.9e-16)))
+            roots.append(ode._brentq(lambda p: float(rhs(p)), a, b,
+                                     1e-14, 8.9e-16))
     # Deduplicate on the circle (wrap-around and floor/bracket double hits).
     roots = sorted(np.mod(np.asarray(roots, dtype=float), TWO_PI))
     merged = []

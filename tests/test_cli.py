@@ -40,6 +40,14 @@ def run_cli(args, capsys):
     return rc, out
 
 
+def env_with_package():
+    """The environment, with this phasekit first on PYTHONPATH, for a
+    subprocess."""
+    src = os.path.dirname(os.path.dirname(phasekit.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -666,12 +674,9 @@ def test_fuzzed_configs_fail_cleanly(command, data):
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command,
                                                       config):
     cfg = write_config(tmp_path, config)
-    src = os.path.dirname(os.path.dirname(phasekit.__file__))
     outputs = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(env_with_package(), OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / f"out-{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "phasekit.cli", command,
@@ -702,3 +707,47 @@ def test_help_lists_all_subcommands():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# SciPy is a test dependency only
+# ---------------------------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phasekit; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env_with_package())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_README_CONFIGS = {
+    "find-cycle": {"model": {"name": "spiral"}},
+    "prc": {"model": {"name": "spiral"}},
+    "isochrons": {"model": {"name": "spiral"}},
+    "reduce": _FUZZ_BASE["reduce"],
+    "simulate": {"network": {
+        "models": [{"name": "stuart_landau",
+                    "params": {"omega": 1.99, "c2": 1.0}},
+                   {"name": "stuart_landau",
+                    "params": {"omega": 2.01, "c2": 1.0}}],
+        "epsilon": 0.05, "a": [[0.0, 1.0], [1.0, 0.0]],
+        "coupling": "direct"}, "theta0": "random"},
+    "sweep": {"pair": "subharmonic", "d_omega": 0.02},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_README_CONFIGS))
+def test_readme_configs_run_without_scipy(tmp_path, command):
+    # an entry of None in sys.modules makes every `import scipy...` fail
+    cfg = write_config(tmp_path, _README_CONFIGS[command])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; "
+         "from phasekit.cli import main; sys.exit(main(sys.argv[1:]))",
+         command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env_with_package())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "summary.json").exists()

@@ -114,7 +114,6 @@ def test_planar_floquet_runs_no_integration(radial_cycle, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("planar Floquet exponent integrated")
 
-    monkeypatch.setattr("phasekit.cycles._endpoint", no_solve)
     monkeypatch.setattr("phasekit.ode.solve_ivp", no_solve)
     assert floquet_exponent(m, cyc) == cyc.floquet
 

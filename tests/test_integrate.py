@@ -10,8 +10,8 @@ from scipy.integrate import solve_ivp
 import phasekit as pk
 from phasekit import IntegrationError, NoCrossingError, Section
 from phasekit.cycles import _jacobian_fn
-from phasekit.ode import (_Method, _endpoint, _run_solver, _solver_tol,
-                          flow_batch)
+from phasekit import ode
+from phasekit.ode import DEFAULT_TOL, _solver_tol, flow_batch
 
 from conftest import circ_err, spiral_states, with_decaying_axis, within
 
@@ -96,13 +96,38 @@ def test_flow_batch_rows_match_single_flows():
         assert np.linalg.norm(back[k] - pk.flow(m, ahead[k], -2.0, tol=tol)) < 1e-8
 
 
-def solve_ivp_endpoint(rhs, x0, t_span, tol):
-    """The endpoint as read off a full `solve_ivp` run (the reference), with
-    the method and tolerance map `ode` defines."""
+def scipy_run(rhs, x0, t_span, tol, **options):
+    """The reference: scipy's own DOP853 at the tolerances `ode` maps tol
+    to, with every event terminal as in `ode.solve_ivp`."""
     rtol, atol = _solver_tol(tol)
-    res = solve_ivp(rhs, t_span, x0, method=_Method, rtol=rtol, atol=atol)
+    for event in options.get("events", ()):
+        event.terminal = True
+    return solve_ivp(rhs, t_span, x0, method="DOP853", rtol=rtol, atol=atol,
+                     **options)
+
+
+def solve_ivp_endpoint(rhs, x0, t_span, tol):
+    """The endpoint as read off a full scipy run."""
+    res = scipy_run(rhs, x0, t_span, tol)
     assert res.status == 0
     return res.y[:, -1]
+
+
+def endpoint(rhs, x0, t_span, tol):
+    return ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True).y[:, -1]
+
+
+def assert_same_run(ours, ref):
+    """Every field `ode.solve_ivp` keeps is scipy's, bit for bit."""
+    np.testing.assert_array_equal(ours.t, ref.t)
+    np.testing.assert_array_equal(ours.y, ref.y)
+    assert (ours.status, ours.message, ours.nfev) == (ref.status, ref.message,
+                                                      ref.nfev)
+    assert len(ours.t_events) == len(ref.t_events or [])
+    for mine, theirs in zip(ours.t_events, ref.t_events or []):
+        np.testing.assert_array_equal(mine, theirs)
+    for mine, theirs in zip(ours.y_events, ref.y_events or []):
+        np.testing.assert_array_equal(mine, theirs)
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 2.5), (0.0, -2.5), (1.0, 4.0)])
@@ -111,7 +136,7 @@ def test_endpoint_is_bit_identical_to_solve_ivp(t_span):
     rhs = lambda t, x: m.f(x)
     x0 = np.array([0.7, -0.2])
     for tol in [(1e-9, 1e-11), (1e-11, 1e-13)]:
-        np.testing.assert_array_equal(_endpoint(rhs, x0, t_span, tol),
+        np.testing.assert_array_equal(endpoint(rhs, x0, t_span, tol),
                                       solve_ivp_endpoint(rhs, x0, t_span, tol))
 
 
@@ -122,7 +147,7 @@ def test_endpoint_of_a_stack_is_bit_identical_to_solve_ivp():
     rhs = lambda t, y: m.f_batch(y.reshape(k, dim)).reshape(-1)
     tol = (1e-11, 1e-13)
     want = solve_ivp_endpoint(rhs, x0.reshape(-1), (0.0, 2.0), tol)
-    np.testing.assert_array_equal(_endpoint(rhs, x0.reshape(-1), (0.0, 2.0), tol),
+    np.testing.assert_array_equal(endpoint(rhs, x0.reshape(-1), (0.0, 2.0), tol),
                                   want)
     np.testing.assert_array_equal(flow_batch(m, x0, 2.0, tol=tol),
                                   want.reshape(k, dim))
@@ -144,7 +169,7 @@ def test_variational_endpoint_is_bit_identical_to_solve_ivp():
     y0 = np.concatenate([cyc.anchor, np.eye(n).reshape(-1)])
     tol = (1e-10, 1e-13)
     want = solve_ivp_endpoint(rhs, y0, (0.0, cyc.period), tol)
-    np.testing.assert_array_equal(_endpoint(rhs, y0, (0.0, cyc.period), tol), want)
+    np.testing.assert_array_equal(endpoint(rhs, y0, (0.0, cyc.period), tol), want)
     mu = np.linalg.eigvals(want[n:].reshape(n, n))
     rest = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
     mu_dom = np.max(np.abs(rest))
@@ -152,8 +177,8 @@ def test_variational_endpoint_is_bit_identical_to_solve_ivp():
 
 
 def escape_outcome(rhs, x0, t_span, r_cap, tol=(1e-11, 1e-13)):
-    """How `_endpoint(escape=...)` ends, checked against `_run_solver` with
-    the same guard as a terminal upward event."""
+    """How an endpoint run with `escape` ends, checked against scipy's run
+    with the same guard as a terminal upward event."""
 
     def escape(y):
         return float(np.linalg.norm(y) - r_cap)
@@ -161,22 +186,23 @@ def escape_outcome(rhs, x0, t_span, r_cap, tol=(1e-11, 1e-13)):
     def event(t, y):
         return escape(y)
 
-    event.terminal = True
     event.direction = +1
     x0 = np.asarray(x0, dtype=float)
-    try:
-        res = _run_solver(rhs, x0, t_span, tol, events=[event])
-    except IntegrationError as err:
+    res = scipy_run(rhs, x0, t_span, tol, events=[event])
+    if res.status == -1:
         with pytest.raises(IntegrationError) as info:
-            _endpoint(rhs, x0, t_span, tol, escape=escape)
-        assert str(info.value) == str(err)
+            ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True, escape=escape)
+        assert str(info.value) == f"integration failed: {res.message}"
         return "failed"
-    got = _endpoint(rhs, x0, t_span, tol, escape=escape)
+    got = ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True, escape=escape)
+    assert got.status == res.status
+    # scipy's extra three calls build the interpolant its root search reads
+    assert got.nfev == res.nfev - (3 if res.status == 1 else 0)
     if res.status == 1:
-        assert got is None
         return "escaped"
     assert res.status == 0
-    np.testing.assert_array_equal(got, res.y[:, -1])
+    np.testing.assert_array_equal(got.y[:, -1], res.y[:, -1])
+    np.testing.assert_array_equal(got.t, res.t[-1:])
     return "finished"
 
 
@@ -303,13 +329,13 @@ def test_solver_rtol_below_the_floor_is_a_value_error():
     m = pk.make_model("radial")
     rhs = lambda t, x: m.f(x)
     x0 = np.array([0.7, -0.2])
-    runs = [lambda tol: _run_solver(rhs, x0, (0.0, 1.0), tol),
-            lambda tol: _endpoint(rhs, x0, (0.0, 1.0), tol),
+    runs = [lambda tol: ode.solve_ivp(rhs, (0.0, 1.0), x0, tol),
+            lambda tol: endpoint(rhs, x0, (0.0, 1.0), tol),
             lambda tol: pk.flow(m, x0, 1.0, tol=tol)]
     for run in runs:
         with pytest.raises(ValueError, match="floor"):
             run((1e-13, 1e-15))
-    # the tightest tolerance the toolkit asks for runs without scipy's clamp
+    # the tightest tolerance the toolkit asks for runs, and warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in runs:
@@ -419,7 +445,7 @@ NON_FINITE_STARTS = {
                          ids=NON_FINITE_STARTS.keys())
 def test_non_finite_field_at_the_start_fails_fast(spiral_cycle, run):
     # u . u overflows, so the spiral's field at the start is not finite:
-    # scipy's first step would be NaN and its step loop would never end
+    # the first step would be NaN and the step loop would never end
     with within(5.0), warnings.catch_warnings(), \
             pytest.raises(IntegrationError, match="not finite"):
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -437,3 +463,233 @@ def test_bad_sample_times_are_scipys_value_errors(t_eval, message):
     with pytest.raises(ValueError, match=message):
         pk.simulate_averaged(coupling, 0.1, 0.05, 0.0, (0.0, 1.0),
                              t_eval=np.array(t_eval))
+
+
+# ---------------------------------------------------------------------------
+# The DOP853 port against scipy's, bit for bit
+# ---------------------------------------------------------------------------
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours = getattr(ode, "_" + name)
+        theirs = getattr(ref, name)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
+def relaxation_rhs(mu=1.0):
+    m = pk.make_model("relaxation", mu=mu)
+    return lambda t, x: m.f(x)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 12.0), (0.0, -0.6), (1.0, 7.3)],
+                         ids=["forward", "backward", "offset"])
+@pytest.mark.parametrize("tol", [(1e-5, 1e-7), (1e-9, 1e-11),
+                                 (1e-12, 1e-14)], ids=str)
+def test_every_step_and_sample_runs_are_scipys(t_span, tol):
+    rhs, x0 = relaxation_rhs(), np.array([2.0, 0.3])
+    assert_same_run(ode.solve_ivp(rhs, t_span, x0, tol),
+                    scipy_run(rhs, x0, t_span, tol))
+    t_eval = np.linspace(*t_span, 37)
+    assert_same_run(ode.solve_ivp(rhs, t_span, x0, tol, t_eval=t_eval),
+                    scipy_run(rhs, x0, t_span, tol, t_eval=t_eval))
+
+
+def test_backward_samples_of_a_stack_are_scipys():
+    m = pk.make_model("spiral")
+    x0 = spiral_stack()
+    k, dim = x0.shape
+    rhs = lambda t, y: m.f_batch(y.reshape(k, dim)).reshape(-1)
+    # the outermost state (radius 1.6) runs off to infinity at t = -0.25
+    t_eval = np.linspace(0.0, -0.2, 16)
+    tol = (1e-11, 1e-13)
+    ours = ode.solve_ivp(rhs, (0.0, -0.2), x0.reshape(-1), tol, t_eval=t_eval)
+    assert_same_run(ours, scipy_run(rhs, x0.reshape(-1), (0.0, -0.2), tol,
+                                    t_eval=t_eval))
+    np.testing.assert_array_equal(ours.t, t_eval)
+
+
+def test_capped_steps_are_scipys():
+    rhs, x0 = relaxation_rhs(), np.array([2.0, 0.3])
+    ours = ode.solve_ivp(rhs, (0.0, 3.0), x0, DEFAULT_TOL, max_step=0.05)
+    assert_same_run(ours, scipy_run(rhs, x0, (0.0, 3.0), DEFAULT_TOL,
+                                    max_step=0.05))
+
+
+def test_null_and_empty_runs_are_scipys():
+    rhs, x0 = relaxation_rhs(), np.array([2.0, 0.3])
+    assert_same_run(ode.solve_ivp(rhs, (1.0, 1.0), x0, DEFAULT_TOL),
+                    scipy_run(rhs, x0, (1.0, 1.0), DEFAULT_TOL))
+    empty = np.empty(0)
+    assert_same_run(ode.solve_ivp(lambda t, y: y, (0.0, 1.0), empty,
+                                  DEFAULT_TOL),
+                    scipy_run(lambda t, y: y, empty, (0.0, 1.0), DEFAULT_TOL))
+
+
+def section_event(direction):
+    def event(t, x):
+        return float(x[1])
+
+    event.direction = direction
+    return event
+
+
+@pytest.mark.parametrize("direction", [+1, -1, 0])
+@pytest.mark.parametrize("tol", [(1e-9, 1e-11), (1e-12, 1e-14)], ids=str)
+def test_terminal_events_are_scipys(direction, tol):
+    # forward on relaxation mu = 1, backward on radial (backward relaxation
+    # runs away from its cycle)
+    for rhs, x0, t_span in ((relaxation_rhs(), [2.0, 0.3], (0.0, 30.0)),
+                            (lambda t, x: pk.make_model("radial").f(x),
+                             [0.9, 0.3], (0.0, -10.0))):
+        x0 = np.array(x0)
+        ours = ode.solve_ivp(rhs, t_span, x0, tol,
+                             events=[section_event(direction)])
+        ref = scipy_run(rhs, x0, t_span, tol,
+                        events=[section_event(direction)])
+        assert ours.status == 1
+        assert_same_run(ours, ref)
+
+
+def test_find_crossing_is_scipys_event():
+    m = pk.make_model("relaxation", mu=1.0)
+    rhs = lambda t, x: m.f(x)
+    x0 = np.array([2.0, 0.3])
+    sec = Section(s=lambda x: x[1], direction=-1)
+    t_star, x_star = pk.find_crossing(m, x0, sec, t_max=30.0)
+    ref = scipy_run(rhs, x0, (0.0, 30.0), DEFAULT_TOL,
+                    events=[section_event(-1)] + ode._basin_events(m))
+    assert t_star == ref.t_events[0][0]
+    np.testing.assert_array_equal(x_star, ref.y_events[0][0])
+
+
+def test_basin_events_are_scipys():
+    # x' = -x from radius 1 enters the ball of radius 1e-3 at t = ln 1000
+    m = pk.make_model("custom", f=lambda x: -x, dim=2, basin_radius=1e-3,
+                      vectorized=True)
+    rhs = lambda t, x: m.f(x)
+    x0 = np.array([1.0, 0.0])
+    ours = ode.solve_ivp(rhs, (0.0, 20.0), x0, DEFAULT_TOL,
+                         events=ode._basin_events(m))
+    ref = scipy_run(rhs, x0, (0.0, 20.0), DEFAULT_TOL,
+                    events=ode._basin_events(m))
+    assert_same_run(ours, ref)
+    root = ref.t_events[0][0]
+    assert abs(root - math.log(1000.0)) < 1e-9
+    with pytest.raises(pk.PhaselessStateError, match=f"t = {root:.6g}$"):
+        pk.integrate(m, x0, (0.0, 20.0))
+    # find_crossing's run stops on the basin before the section x[1] = 0.5
+    x0 = np.array([1.0, -0.5])
+    sec = Section(lambda x: x[1] - 0.5)
+
+    def crossing(t, x):
+        return float(sec.s(x))
+
+    crossing.direction = +1
+    events = [crossing, *ode._basin_events(m)]
+    ref = scipy_run(rhs, x0, (0.0, 20.0), DEFAULT_TOL, events=events)
+    assert_same_run(ode.solve_ivp(rhs, (0.0, 20.0), x0, DEFAULT_TOL,
+                                  events=events), ref)
+    assert ref.status == 1 and ref.t_events[0].size == 0
+    assert ref.t_events[1].size == 1
+    with pytest.raises(pk.PhaselessStateError, match="before crossing"):
+        pk.find_crossing(m, x0, sec, 20.0)
+
+
+def test_step_underflow_is_scipys_failure():
+    # x' = x**2 from 1 blows up at t = 1
+    rhs = lambda t, x: x ** 2
+    ref = scipy_run(rhs, np.array([1.0]), (0.0, 2.0), DEFAULT_TOL)
+    assert ref.status == -1
+    with pytest.raises(IntegrationError) as info:
+        pk.integrate(rhs, [1.0], (0.0, 2.0))
+    assert str(info.value) == f"integration failed: {ref.message}"
+
+
+def test_section_direction_must_be_a_sign():
+    with pytest.raises(ValueError, match="direction must be"):
+        Section(s=lambda x: x[1], direction=2)
+
+
+def test_tangential_crossing_is_rejected():
+    # x' = (1, 1e-8) crosses the line x[1] = 0.5 at t = 1 with ds/dt = 1e-8
+    rhs = lambda t, x: np.array([1.0, 1e-8])
+    sec = Section(s=lambda x: x[1] - 0.5, direction=+1)
+    with pytest.raises(pk.TangentialCrossingError, match="nearly tangent"):
+        pk.find_crossing(rhs, np.array([0.0, 0.5 - 1e-8]), sec, t_max=5.0)
+
+
+def test_no_crossing_within_t_max():
+    # radial from (0, -1) reaches the upward section x[1] = 0 at t = pi / 2
+    m = pk.make_model("radial")
+    sec = Section(s=lambda x: x[1], direction=+1)
+    x0 = np.array([0.0, -1.0])
+    with pytest.raises(NoCrossingError, match=r"in \(0, 1.5\]"):
+        pk.find_crossing(m, x0, sec, t_max=1.5)
+    t_star, _ = pk.find_crossing(m, x0, sec, t_max=1.6)
+    assert abs(t_star - math.pi / 2) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The Brent port against scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+_BRENT_FUNCTIONS = {
+    # flat roots: at tight tolerances Brent often runs out of iterations
+    "cubic": lambda r: lambda x: (x - r) ** 3,
+    "ninth": lambda r: lambda x: (x - r) ** 9,
+    "tanh": lambda r: lambda x: math.tanh(50.0 * (x - r)),
+    "sine": lambda r: lambda x: math.sin(x - r),   # several roots or none
+    "cbrt": lambda r: lambda x: math.copysign(abs(x - r) ** (1 / 3), x - r),
+    "step": lambda r: lambda x: 1.0 if x > r else -1.0,
+    "tiny": lambda r: lambda x: 1e-300 * (x - r),
+}
+
+
+def brent_outcome(solve, f, a, b, xtol, rtol):
+    try:
+        return "root", solve(f, a, b, xtol, rtol)
+    except (RuntimeError, ValueError) as err:
+        return type(err).__name__, None
+
+
+def test_brent_port_is_scipys_brentq():
+    from scipy.optimize import brentq
+
+    def scipy_brentq(f, a, b, xtol, rtol):
+        return brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    seen = {}
+    # solve_ivp's event tolerances and lock_analysis's
+    for xtol, rtol in ((4 * eps, 4 * eps), (1e-14, 8.9e-16)):
+        for name, make in _BRENT_FUNCTIONS.items():
+            for _ in range(750):
+                r = rng.uniform(-1.0, 1.0)
+                a = r - 10.0 ** rng.uniform(-8.0, 3.0)
+                b = r + 10.0 ** rng.uniform(-8.0, 3.0)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                f = make(r)
+                ours = brent_outcome(ode._brentq, f, a, b, xtol, rtol)
+                want = brent_outcome(scipy_brentq, f, a, b, xtol, rtol)
+                assert ours == want, (name, a, b, xtol, rtol)
+                seen[ours[0]] = seen.get(ours[0], 0) + 1
+    assert sum(seen.values()) >= 10000
+    # converged, out of iterations, and unsigned brackets all occur
+    assert min(seen.get(kind, 0)
+               for kind in ("root", "RuntimeError", "ValueError")) > 100
+
+
+def test_brent_port_rejects_nan_values_as_scipy_does():
+    from scipy.optimize import brentq
+
+    def f(x):
+        return math.nan if x > 0.5 else x - 0.7
+
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(f, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ode._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16)

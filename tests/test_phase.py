@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import sys
 import time
 import warnings
 
@@ -619,11 +618,7 @@ def test_adjoint_runs_no_integration(monkeypatch, spiral_cycle):
     def no_integration(*args, **kwargs):
         raise AssertionError("the adjoint integrated")
 
-    modules = [mod for name, mod in sys.modules.items()
-               if name.split(".")[0] == "phasekit"]
-    for module in modules:
-        for name in ("_endpoint", "_run_solver", "solve_ivp", "DOP853"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, no_integration)
+    # every integration looks this name up at call time
+    monkeypatch.setattr("phasekit.ode.solve_ivp", no_integration)
     sens = pk.phase_sensitivity(m, cyc)
     assert np.max(np.abs(sens.values - m.analytic_prc(sens.grid))) < 1e-10
