@@ -405,8 +405,6 @@ def find_limit_cycle(model: OscillatorModel, guess, tol: float = 1e-10,
     for _ in range(_MAX_NEWTON):
         period, x_ret = find_crossing(model, x_base, _SECTION, _CROSSING_T_MAX,
                                       tol=ivp_tol)
-        if period < 1e-6:
-            raise ShootingError(f"degenerate return time {period:.3e}")
         resid = chart.T @ (x_ret - x_base)
         if np.linalg.norm(resid) < tol * scale:
             converged = True

@@ -23,9 +23,8 @@ a step that underflows.  Each entry point keeps only what its callers read:
   section) on the step's interpolant;
 - `flow_batch` (and the Floquet stage's whole-period run above two
   dimensions) keeps only the final state (`endpoint=True`), so the memory
-  held is that of a few states, however many steps the run takes.  The
-  isochron probes do too, with an escape guard that stops the run at the
-  step where a terminal event on the guard would, without locating it.
+  held is that of a few states, however many steps the run takes; so do
+  the isochron probes, which a terminal event stops outside a ball.
 """
 
 # Ported from SciPy's DOP853 and brentq: BSD-3-Clause, (c) SciPy Developers.
@@ -133,8 +132,8 @@ class Trajectory:
 class _Solution:
     """What `solve_ivp` returns, in the fields of scipy's result: times t,
     states y (one column per time), the root and the state of each event
-    (one list per event), status 0 (end reached) or 1 (stopped by an event
-    or the escape guard), its message, and nfev, the RHS evaluations."""
+    (one list per event), status 0 (end reached) or 1 (stopped by an
+    event), its message, and nfev, the RHS evaluations."""
 
     t: np.ndarray
     y: np.ndarray
@@ -159,7 +158,7 @@ def _sample_times(t_eval, t0, t1):
     return t_eval if t1 > t0 else t_eval[::-1]
 
 
-def solve_ivp(fun, t_span, y0, tol, t_eval=None, events=(), escape=None,
+def solve_ivp(fun, t_span, y0, tol, t_eval=None, events=(),
               max_step=np.inf, endpoint=False) -> _Solution:
     """Integrate y' = fun(t, y) over t_span by DOP853 at `_solver_tol(tol)`.
 
@@ -171,10 +170,8 @@ def solve_ivp(fun, t_span, y0, tol, t_eval=None, events=(), escape=None,
 
     events: functions g(t, y), each with a `direction` attribute (+1 up,
     -1 down, 0 either) as in scipy.  The run stops at the first root, found
-    by `_brentq` on the step's interpolant, and t and y end there.
-    escape: a guard g(y).  The run stops at the end of the first step that
-    takes g from <= 0 to >= 0, where a terminal upward event on g would
-    stop it, but no root is located; status is 1.
+    by `_brentq` on the step's interpolant, and t and y end there; status
+    is 1.  That is the only early stop.
     A step below the spacing of floats raises IntegrationError.
     """
     rtol, atol = _solver_tol(tol)
@@ -206,9 +203,8 @@ def solve_ivp(fun, t_span, y0, tol, t_eval=None, events=(), escape=None,
     keep_steps = t_eval is None and not endpoint
     ts, ys = ([t0], [y]) if keep_steps else ([], [])
     g = [event(t0, y) for event in events]
-    directions = np.array([event.direction for event in events])
+    directions = [event.direction for event in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
-    guard = None if escape is None else escape(y)
     status = None
     while status is None:
         t_old, y_old = t, y
@@ -220,14 +216,10 @@ def solve_ivp(fun, t_span, y0, tol, t_eval=None, events=(), escape=None,
         if direction * (t - t1) >= 0:
             status = 0
         sol = None
-        if escape is not None:
-            guard, guard_old = escape(y), guard
-            if guard_old <= 0 <= guard:
-                status = 1
         if events:
             g_new = [event(t, y) for event in events]
             active = _active_events(g, g_new, directions)
-            if active.size > 0:
+            if active:
                 sol = _interpolant(rhs, stages, t_old, t, y_old, y, f, h)
                 roots = np.asarray([
                     _brentq(lambda s, event=events[e]: event(s, sol(s)),
@@ -400,17 +392,11 @@ def _interpolant(fun, K, t_old, t, y_old, y, f, h):
     return sol
 
 
-def _active_events(g, g_new, direction):
+def _active_events(g, g_new, directions):
     """Indices of the events whose sign change over the step matches their
-    direction."""
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    either = up | down
-    mask = (up & (direction > 0) |
-            down & (direction < 0) |
-            either & (direction == 0))
-    return np.nonzero(mask)[0]
+    direction: scipy's test, on plain numbers rather than arrays."""
+    return [e for e, (a, b, d) in enumerate(zip(g, g_new, directions))
+            if d >= 0 and a <= 0 <= b or d <= 0 and a >= 0 >= b]
 
 
 def _brentq(f, a, b, xtol, rtol):
@@ -557,10 +543,11 @@ def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL):
 
     Returns (t_star, x_star).  The crossing time is refined on the crossing
     step's interpolant to root-finder precision; a crossing where the field
-    is nearly tangent to the section is rejected.  A start point sitting on
-    the section is flowed for `_T_GUARD` = 1e-3 before event detection so
-    the trivial t = 0 root is skipped; crossings inside (0, 1e-3) are
-    therefore not resolvable from an on-section start.
+    is nearly tangent to the section, or s too flat to locate, raises
+    TangentialCrossingError.  A start point sitting on the section is flowed
+    for `_T_GUARD` = 1e-3 before event detection so the trivial t = 0 root
+    is skipped; crossings inside (0, 1e-3) are therefore not resolvable from
+    an on-section start.
     """
     rhs, model = _as_rhs(system)
     x0 = np.asarray(x0, dtype=float)
@@ -577,9 +564,15 @@ def find_crossing(system, x0, section: Section, t_max, tol=DEFAULT_TOL):
         return float(section.s(x))
 
     ev.direction = section.direction
-    res = solve_ivp(lambda t, x: rhs(t + t_offset, x),
-                    (0.0, float(t_max) - t_offset), x0, tol,
-                    events=[ev] + _basin_events(model))
+    try:
+        res = solve_ivp(lambda t, x: rhs(t + t_offset, x),
+                        (0.0, float(t_max) - t_offset), x0, tol,
+                        events=[ev] + _basin_events(model))
+    except RuntimeError as err:     # bare only from `_brentq`: s is flat
+        if type(err) is not RuntimeError:
+            raise
+        raise TangentialCrossingError("vector field nearly tangent to "
+                                      f"section ({err})") from err
     if res.status == 1 and res.t_events[0].size == 0:
         raise PhaselessStateError(
             "trajectory entered the phaseless neighborhood before crossing"

@@ -261,12 +261,15 @@ def _tangent_reach(g0, w, r):
 def _probe_backward(model, cycle, x0, n_periods, r_cap):
     """Backward-map one seed; return achieved distance-from-origin, or inf
     if the trajectory escapes past r_cap, overflows or breaks the solver."""
+    def escaped(t, y):
+        return np.linalg.norm(y) - r_cap
+
+    escaped.direction = +1
     try:
         with np.errstate(over="raise", invalid="raise"):
             end = ode.solve_ivp(_as_rhs(model)[0],
                                 (0.0, -n_periods * cycle.period), x0,
-                                _GEOM_TOL, endpoint=True,
-                                escape=lambda y: np.linalg.norm(y) - r_cap)
+                                _GEOM_TOL, endpoint=True, events=[escaped])
     except (IntegrationError, FloatingPointError):
         return np.inf
     return np.inf if end.status == 1 else float(np.linalg.norm(end.y[:, -1]))

@@ -14,10 +14,10 @@ Gamma_bar at psi slows the slow phase down.  `lock_analysis` is a plain
 root-finder on Delta + eps * q(psi) and makes no assumption about where q came
 from; when analyzing the forced equation above, pass q = -Gamma_bar.
 
-Averaging.  Commensurate forcing is averaged by one trapezoid sum over the
-cycle's grid nodes (`average_periodic`), which is exponentially accurate for
-smooth periodic integrands, so an average that vanishes identically comes out
-zero to rounding; other forcing falls back to the windowed `mean_value`.
+Averaging.  `average_periodic` averages forcing of declared period by one
+finite sum over the cycle's grid nodes, over the common period or over the
+torus of cycle and forcing phase; it is exponentially accurate for smooth
+integrands, so an average that vanishes identically is zero to rounding.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class CouplingFunction:
 
     grid: np.ndarray
     values: np.ndarray
-    provenance: str  # "periodic_average", "mean_value", or "analytic"
+    provenance: str  # "periodic_average", "torus_average", or "analytic"
     _interp: PeriodicInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -168,58 +168,57 @@ def average_periodic(sens: PhaseSensitivity, cycle: LimitCycle,
 
     Gamma_bar(psi) = -(1/T) integral of Z(psi + Omega t) . p(gamma(psi +
     Omega t), t) dt, the drag form of the averaged slow-phase equation (see
-    module docstring).  When T_p / t_f = p/q with q < 100, t_f = 2 pi / Omega
-    the frame period, the average runs over the common period p * t_f as the
-    trapezoid sum over the N = M * p times t_k = k * t_f / M, M the cycle's
-    grid size.  At t_k every frame phase psi_j + Omega t_k is grid node
-    (j + k) mod M, so Z (`sens` at the nodes) and gamma (`cycle.points`)
-    are read only at nodes:
+    module docstring), as a sum over the cycle's M grid nodes, where Z is
+    `sens` and gamma is `cycle.points`.  With t_f = 2 pi / Omega the frame
+    period and T_p / t_f = p/q, q < 100, the average runs over the common
+    period p * t_f as the trapezoid sum over the N = M * p times
+    t_k = k * t_f / M, at which every frame phase psi_j + Omega t_k is grid
+    node (j + k) mod M:
 
         Gamma_bar_j = -(1/N) sum_k Z_{(j+k) mod M} . p(gamma_{(j+k) mod M}, t_k).
 
-    The sum is exact for every harmonic of the common period below N, hence
+    It is exact for every harmonic of the common period below N, hence
     exponentially accurate for smooth periodic integrands (Trefethen &
-    Weideman, SIAM Review 56, 2014).  Other forcing is averaged with
-    `mean_value`.  An omega_force that is not finite and positive is a
-    ValueError.
+    Weideman, SIAM Review 56, 2014); provenance "periodic_average".  Any
+    other ratio (a denominator of 100 or more included) is incommensurate,
+    and the time average is the average over the torus of cycle phase and
+    forcing phase (Weyl), a constant with provenance "torus_average":
+
+        Gamma_bar = -(1/M) sum_k Z_k . pbar(gamma_k),
+        pbar(x) = (1/M) sum_l p(x, l * T_p / M).
+
+    It leaves out resonant terms of order q >= 100 only, an exponentially
+    small error for smooth forcing.  Undeclared forcing (period None) and an
+    omega_force that is not finite and positive are ValueErrors.
     """
     omega = float(omega_force)
     if not (np.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega_force must be finite and positive, got "
                          f"{omega_force!r}")
+    if pert.period is None:
+        raise ValueError("pert.period is None: declare the forcing's period "
+                         "(a p with no time dependence can declare any)")
     m = cycle.grid_size
     psi = TWO_PI * np.arange(m) / m
     t_frame = TWO_PI / omega
+    z = sens(psi)
+    ratio = pert.period / t_frame
+    frac = Fraction(ratio).limit_denominator(99)
+    if frac.numerator > 0 and abs(ratio - float(frac)) <= 1e-9 * max(1.0, ratio):
+        n = m * frac.numerator
+        acc = np.zeros(m)
+        for k in range(n):
+            v = np.sum(z * _eval_forcing(pert, cycle.points, k * t_frame / m),
+                       axis=1)
+            acc += np.roll(v, -k)
+        return CouplingFunction(grid=psi, values=-acc / n,
+                                provenance="periodic_average")
 
-    def integrand_at(t):
-        phases = psi + omega * t
-        z = sens(phases)
-        x = cycle.gamma_at(phases)
-        p = _eval_forcing(pert, x, t)
-        return np.sum(z * p, axis=1)
-
-    if pert.period is not None:
-        ratio = pert.period / t_frame
-        frac = Fraction(ratio).limit_denominator(99)
-        if frac.numerator > 0 and abs(ratio - float(frac)) <= 1e-9 * max(1.0, ratio):
-            z = sens(psi)
-            n = m * frac.numerator
-            acc = np.zeros(m)
-            for k in range(n):
-                v = np.sum(z * _eval_forcing(pert, cycle.points, k * t_frame / m),
-                           axis=1)
-                acc += np.roll(v, -k)
-            return CouplingFunction(grid=psi, values=-acc / n,
-                                    provenance="periodic_average")
-
-    # Incommensurate (or undeclared) forcing: quasi-periodic mean per node.
-    def g(t_arr):
-        t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
-        return np.stack([integrand_at(float(t)) for t in t_arr])
-
-    vals = mean_value(g, t_max=2e5, tol=1e-7)
-    return CouplingFunction(grid=psi, values=-np.asarray(vals),
-                            provenance="mean_value")
+    p_bar = sum(_eval_forcing(pert, cycle.points, l * pert.period / m)
+                for l in range(m)) / m
+    value = -np.mean(np.sum(z * p_bar, axis=1))
+    return CouplingFunction(grid=psi, values=np.full(m, value),
+                            provenance="torus_average")
 
 
 def _gl_panel_nodes(a: float, b: float, panel: float):

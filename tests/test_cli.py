@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import phasekit
 import phasekit._parallel as parallel
 from phasekit.cli import main
-from phasekit.output import ConfigError
+from phasekit.output import ConfigError, load_config, write_table
 
 from conftest import within
 
@@ -156,6 +156,18 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
                       capsys)
     assert rc == 2
     assert json.loads(out)["error"] == "config"
+
+
+def test_a_config_root_that_is_not_an_object_is_a_config_error(tmp_path):
+    cfg = write_config(tmp_path, [{"model": {"name": "radial"}}])
+    with pytest.raises(ConfigError, match="root must be a JSON object"):
+        load_config(str(cfg))
+
+
+def test_an_unknown_table_format_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown output format: xml"):
+        write_table(str(tmp_path), "t", ["a"], [[1.0]], fmt="xml")
+    assert not list(tmp_path.iterdir())
 
 
 def test_wrong_value_type_is_a_config_error(tmp_path, capsys):

@@ -193,6 +193,18 @@ def test_unstable_cycle_rejected():
         find_limit_cycle(m, (1.01, 0.0))
 
 
+def test_singular_return_map_is_a_shooting_error():
+    # r' = 0.05, theta' = 1: each return lands 0.1 pi farther out, so the
+    # return map's derivative is 1 and Newton's Jacobian, that minus 1, is 0
+    def f(x):
+        r = math.hypot(x[0], x[1])
+        return np.array([0.05 * x[0] / r - x[1], 0.05 * x[1] / r + x[0]])
+
+    m = pk.make_model("custom", f=f, dim=2, basin_radius=1e-3)
+    with pytest.raises(pk.ShootingError, match="singular return-map"):
+        find_limit_cycle(m, (1.0, 0.1))
+
+
 @pytest.mark.parametrize("grid_size", [0, 3, -2])
 def test_grid_size_must_be_positive_and_even(grid_size):
     with pytest.raises(ValueError, match="positive even"):

@@ -177,32 +177,32 @@ def test_variational_endpoint_is_bit_identical_to_solve_ivp():
 
 
 def escape_outcome(rhs, x0, t_span, r_cap, tol=(1e-11, 1e-13)):
-    """How an endpoint run with `escape` ends, checked against scipy's run
-    with the same guard as a terminal upward event."""
+    """How an endpoint run with the isochron probes' escape event, |y| -
+    r_cap crossing upward, ends; checked bit for bit against scipy's run
+    with the same event."""
 
-    def escape(y):
+    def escaped(t, y):
         return float(np.linalg.norm(y) - r_cap)
 
-    def event(t, y):
-        return escape(y)
-
-    event.direction = +1
+    escaped.direction = +1
     x0 = np.asarray(x0, dtype=float)
-    res = scipy_run(rhs, x0, t_span, tol, events=[event])
+    res = scipy_run(rhs, x0, t_span, tol, events=[escaped])
     if res.status == -1:
         with pytest.raises(IntegrationError) as info:
-            ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True, escape=escape)
+            ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True,
+                          events=[escaped])
         assert str(info.value) == f"integration failed: {res.message}"
         return "failed"
-    got = ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True, escape=escape)
+    got = ode.solve_ivp(rhs, t_span, x0, tol, endpoint=True, events=[escaped])
     assert got.status == res.status
-    # scipy's extra three calls build the interpolant its root search reads
-    assert got.nfev == res.nfev - (3 if res.status == 1 else 0)
-    if res.status == 1:
-        return "escaped"
-    assert res.status == 0
+    assert got.nfev == res.nfev
     np.testing.assert_array_equal(got.y[:, -1], res.y[:, -1])
     np.testing.assert_array_equal(got.t, res.t[-1:])
+    if res.status == 1:
+        np.testing.assert_array_equal(got.t_events[0], res.t_events[0])
+        np.testing.assert_array_equal(got.y_events[0], res.y_events[0])
+        return "escaped"
+    assert res.status == 0
     return "finished"
 
 
@@ -618,6 +618,14 @@ def test_tangential_crossing_is_rejected():
     sec = Section(s=lambda x: x[1] - 0.5, direction=+1)
     with pytest.raises(pk.TangentialCrossingError, match="nearly tangent"):
         pk.find_crossing(rhs, np.array([0.0, 0.5 - 1e-8]), sec, t_max=5.0)
+    # s = (x[0] - 1)^3 is so flat at its root that Brent's 100 iterations
+    # run out at the event tolerances
+    flat = Section(s=lambda x: (x[0] - 1.0) ** 3)
+    with pytest.raises(pk.TangentialCrossingError,
+                       match=r"section \(Failed to converge") as info:
+        pk.find_crossing(lambda t, x: np.array([1.0, 0.0]), np.zeros(2),
+                         flat, t_max=5.0)
+    assert type(info.value.__cause__) is RuntimeError
 
 
 def test_no_crossing_within_t_max():

@@ -25,7 +25,7 @@ import phasekit.network as network
 import phasekit.ode as ode
 from phasekit.network import _phase_rhs
 
-from conftest import scalar_only_radial
+from conftest import scalar_only_radial, with_decaying_axis
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,6 +62,12 @@ def test_spec_rejects_malformed_input():
     with pytest.raises(ValueError, match="nu1"):
         NetworkSpec(models=[m, m], epsilon=0.1, a=np.zeros((2, 2)),
                     b=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"adjacency b must be \(2, 2\)"):
+        NetworkSpec(models=[m, m], epsilon=0.1, a=np.zeros((2, 2)),
+                    b=np.zeros((2, 3)), nu1=1.0)
+    with pytest.raises(ValueError, match="nu2"):
+        NetworkSpec(models=[m, m], epsilon=0.1, a=np.zeros((2, 2)),
+                    c=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="unknown coupling"):
         NetworkSpec(models=[m, m], epsilon=0.1, a=np.zeros((2, 2)),
                     coupling="nonsense")
@@ -297,6 +303,16 @@ def test_each_family_is_evaluated_once_per_rhs_call(monkeypatch, case, calls,
     traj = simulate_full(spec, (0.0, 2.0))
     assert len(traj.times) > 2 and per_eval
     assert all(seen == [block] * calls for seen in per_eval)
+
+
+def test_ensemble_rejects_mixed_state_dimensions(monkeypatch):
+    planar = make_model("radial")
+    spec = NetworkSpec(models=[planar, with_decaying_axis(planar, 1.0)],
+                       epsilon=0.05, a=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    monkeypatch.setattr(NetworkSpec, "cycles",
+                        lambda self: pytest.fail("cycles shot"))
+    with pytest.raises(ValueError, match="mixed state dimensions"):
+        simulate_ensemble(spec, [0.05], (0.0, 1.0))
 
 
 def test_ensemble_needs_finite_epsilons():

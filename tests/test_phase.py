@@ -596,6 +596,19 @@ def test_adjoint_of_a_cycle_with_a_decaying_axis():
     assert np.max(np.abs(sens.values[:, 2])) < 1e-13
 
 
+def test_isochron_of_a_3d_model_is_an_isochron_error():
+    m = with_decaying_axis(pk.make_model("spiral"), 3.0)
+    with pytest.raises(pk.IsochronError, match="planar models"):
+        pk.compute_isochron(m, unit_circle_cycle(TWO_PI, m=128, dim=3), 0.0,
+                            (0.3, 2.0), n_points=10)
+
+
+def test_unknown_sensitivity_method_is_a_value_error(spiral_cycle):
+    m, cyc = spiral_cycle
+    with pytest.raises(ValueError, match="unknown phase sensitivity method"):
+        pk.phase_sensitivity(m, cyc, method="bogus")
+
+
 def test_adjoint_rejects_a_cycle_that_does_not_fit_its_field(spiral_cycle):
     m, cyc = spiral_cycle
     mistimed = dataclasses.replace(cyc, period=1.01 * cyc.period)

@@ -14,7 +14,7 @@ from phasekit import (
     mean_value,
 )
 
-from conftest import circ_err
+from conftest import circ_err, within
 
 TWO_PI = 2 * math.pi
 
@@ -188,6 +188,73 @@ def test_average_periodic_rejects_a_bad_frame_frequency(radial_cycle,
     pert = pk.sinusoidal_forcing(omega=1.0, amplitude=1.0)
     with pytest.raises(ValueError, match="omega_force"):
         average_periodic(radial_sens, cycle, pert, omega)
+
+
+@pytest.mark.parametrize("name", ["radial", "spiral"])
+def test_average_periodic_torus_closed_form(name, request):
+    # p = (0, x0 cos^2(sqrt(2) t)), declared with period pi / sqrt(2): at
+    # frame 1 the ratio is irrational, and on the unit circle
+    # Gamma_bar = -<Z_1 x0> / 2 = -1/4 for radial and spiral
+    _, cycle = request.getfixturevalue(f"{name}_cycle")
+    sens = request.getfixturevalue(f"{name}_sens")
+    w = math.sqrt(2.0)
+
+    def p(x, t):
+        return np.stack([np.zeros_like(x[..., 0]),
+                         x[..., 0] * np.cos(w * t) ** 2], axis=-1)
+
+    pert = Perturbation(p=p, period=math.pi / w, amplitude=1.0)
+    q = average_periodic(sens, cycle, pert, 1.0)
+    assert q.provenance == "torus_average"
+    assert np.max(np.abs(q.values + 0.25)) <= 1e-12
+
+
+def test_average_periodic_incommensurate_sine_averages_to_zero(
+        radial_cycle, radial_sens):
+    _, cycle = radial_cycle
+    pert = pk.sinusoidal_forcing(omega=math.sqrt(2.0), amplitude=1.0)
+    q = average_periodic(radial_sens, cycle, pert, 1.0)
+    assert q.provenance == "torus_average"
+    assert np.max(np.abs(q.values)) <= 1e-12
+
+
+def test_average_periodic_torus_matches_a_dense_double_trapezoid(
+        relaxation_pairs):
+    # p = (0, x0 exp(x0 cos(sqrt(2) t))), whose mean over t, x0 I0(x0), is
+    # not linear in the state; the reference averages Z . p over 2048 cycle
+    # phases and 64 forcing phases, every one of them off the nodes
+    cycle, sens = relaxation_pairs[1.0]
+    w = math.sqrt(2.0)
+
+    def p(x, t):
+        return np.stack([np.zeros_like(x[..., 0]),
+                         x[..., 0] * np.exp(x[..., 0] * np.cos(w * t))],
+                        axis=-1)
+
+    pert = Perturbation(p=p, period=TWO_PI / w, amplitude=1.0)
+    q = average_periodic(sens, cycle, pert, 1.0)
+    assert q.provenance == "torus_average"
+    s = TWO_PI * (np.arange(2048) + 0.37) / 2048
+    tau = pert.period * (np.arange(64) + 0.29) / 64
+    x0 = cycle.gamma_at(s)[:, 0]
+    z1 = sens(s)[:, 1]
+    want = -np.mean((z1 * x0)[:, None]
+                    * np.exp(x0[:, None] * np.cos(w * tau)))
+    assert abs(want) > 0.1
+    assert np.max(np.abs(q.values - want)) <= 1e-10
+
+
+def test_average_periodic_rejects_undeclared_forcing_at_once(
+        radial_cycle, radial_sens, monkeypatch):
+    def no_windowed_mean(*args, **kwargs):
+        raise AssertionError("mean_value called")
+
+    monkeypatch.setattr(pk.reduction, "mean_value", no_windowed_mean)
+    _, cycle = radial_cycle
+    pert = Perturbation(p=lambda x, t: np.array([math.sin(t), 0.0]),
+                        amplitude=1.0)
+    with within(1.0), pytest.raises(ValueError, match="period"):
+        average_periodic(radial_sens, cycle, pert, 1.0)
 
 
 def test_mean_value_quasiperiodic():
